@@ -46,8 +46,6 @@ from .verifier import (
     AvoidanceCertificate,
     MorphicWordSpec,
     builtin_spec,
-    four_power_free_certificate,
-    h_alpha_prefix,
     h_alpha_spec,
     load_spec,
     max_gap_without_full_image,
@@ -98,8 +96,6 @@ __all__ = [
     "AvoidanceCertificate",
     "MorphicWordSpec",
     "builtin_spec",
-    "four_power_free_certificate",
-    "h_alpha_prefix",
     "h_alpha_spec",
     "load_spec",
     "max_gap_without_full_image",

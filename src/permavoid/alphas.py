@@ -197,14 +197,7 @@ def alpha_scan_bound(e) -> int:
 
 def alpha_value(a: int, e) -> int | float:
     """Least t >= 1 whose residue pattern is REPRESENTATIONS[a], else infinity."""
-    if a not in REPRESENTATIONS:
-        raise ValueError(f"alpha index must be in 1..14, got {a}")
-    exp = _exponents(e)
-    target = REPRESENTATIONS[a]
-    for t in range(1, alpha_scan_bound(exp) + 1):
-        if representation(t, exp) == target:
-            return t
-    return INFINITY
+    return profile(e).value(a)
 
 
 @dataclass(frozen=True)
@@ -214,8 +207,6 @@ class AlphaProfile:
     exponents: PatternExponents
     values: tuple[int | float, ...]  # values[a - 1] is alpha_a
 
-    reps = REPRESENTATIONS
-
     def value(self, a: int) -> int | float:
         if a not in REPRESENTATIONS:
             raise ValueError(f"alpha index must be in 1..14, got {a}")
@@ -223,9 +214,6 @@ class AlphaProfile:
 
     def rep(self, a: int) -> str:
         return REPRESENTATIONS[a]
-
-    def finite_indices(self) -> tuple[int, ...]:
-        return tuple(a for a in ALPHA_INDICES if self.values[a - 1] is not INFINITY)
 
     def as_json(self) -> dict:
         return {
@@ -337,17 +325,3 @@ def alpha_json_value(value: int | float) -> int | str:
     """JSON rendering of an alpha value; infinity serializes as "inf"."""
     return "inf" if value == INFINITY else int(value)
 
-
-def _self_check() -> None:
-    # Guards against transcription slips in REPRESENTATIONS: whenever an alpha
-    # value is finite, the residue pattern at that value must reproduce the
-    # stored representation.
-    for triple in ((1, 2, 3), (2, 4, 5), (3, 7, 6)):
-        prof = profile(triple)
-        for a in ALPHA_INDICES:
-            value = prof.value(a)
-            if value is not INFINITY:
-                assert representation(int(value), triple) == REPRESENTATIONS[a]
-
-
-_self_check()

@@ -40,13 +40,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--format", choices=["json", "text"], default="json", help="output format"
     )
-    parser.add_argument("--seed", type=int, default=0, help="seed for sampled utilities")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="worker count; results are independent of this value (currently sequential)",
-    )
 
 
 def _parse_params(raw: str) -> tuple[int, ...]:
@@ -157,7 +150,7 @@ def _exponents_from(args: argparse.Namespace) -> PatternExponents:
     return PatternExponents(args.i, args.j, args.k)
 
 
-def _search_config(args: argparse.Namespace, cap: int, budget: int) -> SearchConfig:
+def _search_config(args: argparse.Namespace, **caps) -> SearchConfig:
     params = _parse_params(args.forbidden)
     exponents = None
     if args.mode == "fixed":
@@ -170,8 +163,7 @@ def _search_config(args: argparse.Namespace, cap: int, budget: int) -> SearchCon
         exponents=exponents,
         include_all_equal=args.keep_all_equal,
         gapped_square_completion=args.gapped_square_completion,
-        length_cap=cap,
-        node_budget=budget,
+        **caps,
     )
 
 
@@ -215,7 +207,7 @@ def _run_families(args) -> tuple[dict, int]:
 
 
 def _run_search(args) -> tuple[dict, int]:
-    config = _search_config(args, cap=args.cap, budget=args.budget)
+    config = _search_config(args, length_cap=args.cap, node_budget=args.budget)
     outcome = longest_avoiding_word(config)
     result = outcome.as_json()
     result["forbidden_patterns"] = sorted(config.forbidden)
@@ -223,7 +215,7 @@ def _run_search(args) -> tuple[dict, int]:
 
 
 def _run_verify_word(args) -> tuple[dict, int]:
-    config = _search_config(args, cap=400, budget=100_000_000)
+    config = _search_config(args)
     word = Word.parse(args.word, alphabet=args.m)
     witness = verify_word_avoids(word, config)
     if witness is None:
@@ -269,9 +261,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(args, "threads", 1) < 1:
-        print("permavoid: error: --threads must be at least 1", file=sys.stderr)
-        return EXIT_DOMAIN_ERROR
 
     started = time.perf_counter()
     try:

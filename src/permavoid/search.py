@@ -24,13 +24,14 @@ from __future__ import annotations
 
 import enum
 import logging
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations as _all_permutations
 from typing import Iterable
 
 from .alphas import ALL_EQUAL, REPRESENTATIONS, blocks_pattern, is_canonical_pattern
-from .words import Permutation, Word, WordLike, as_letters
+from .words import MAX_ALPHABET, Permutation, Word, WordLike, as_letters
 
 __all__ = [
     "PermModel",
@@ -57,10 +58,33 @@ class PermModel(enum.Enum):
     ALL_PERMUTATIONS = "all"
 
 
+#: Largest model enumerated: 8!, the `all` model over eight letters.  Its
+#: compile already takes seconds and ~170 MB, and each further letter
+#: multiplies both by about the alphabet size.
+_MAX_MODEL_SIZE = 40_320
+
+
 def model_permutations(model: PermModel, m: int) -> tuple[Permutation, ...]:
-    """Every permutation of {0..m-1} belonging to the model."""
-    if m < 2:
-        raise ValueError("alphabet size must be at least 2")
+    """Every permutation of {0..m-1} belonging to the model.
+
+    Models with more than 40,320 permutations are rejected before any is built.
+    """
+    if not 2 <= m <= MAX_ALPHABET:
+        raise ValueError(f"alphabet size must be in [2, {MAX_ALPHABET}], got {m}")
+    if model is PermModel.FIX_ONE_POINT_CYCLE and m < 3:
+        raise ValueError("fix-one-point cycles need an alphabet of size at least 3")
+    sizes = {
+        PermModel.FULL_CYCLE: math.factorial(m - 1),
+        PermModel.FIX_ONE_POINT_CYCLE: m * math.factorial(m - 2),
+        PermModel.ALL_PERMUTATIONS: math.factorial(m),
+    }
+    if model not in sizes:
+        raise ValueError(f"unknown permutation model {model!r}")
+    if sizes[model] > _MAX_MODEL_SIZE:
+        raise ValueError(
+            f"the {model.value!r} model over {m} letters has {sizes[model]:,} permutations;"
+            f" at most {_MAX_MODEL_SIZE:,} are supported"
+        )
     if model is PermModel.FULL_CYCLE:
         perms = []
         for rest in _all_permutations(range(1, m)):
@@ -68,8 +92,6 @@ def model_permutations(model: PermModel, m: int) -> tuple[Permutation, ...]:
             perms.append(Permutation.from_cycles([cycle], m))
         return tuple(perms)
     if model is PermModel.FIX_ONE_POINT_CYCLE:
-        if m < 3:
-            raise ValueError("fix-one-point cycles need an alphabet of size at least 3")
         perms = []
         for fixed in range(m):
             others = [a for a in range(m) if a != fixed]
@@ -77,9 +99,7 @@ def model_permutations(model: PermModel, m: int) -> tuple[Permutation, ...]:
                 cycle = (others[0],) + rest
                 perms.append(Permutation.from_cycles([cycle], m))
         return tuple(perms)
-    if model is PermModel.ALL_PERMUTATIONS:
-        return tuple(Permutation(images) for images in _all_permutations(range(m)))
-    raise ValueError(f"unknown permutation model {model!r}")
+    return tuple(Permutation(images) for images in _all_permutations(range(m)))
 
 
 #: Gapped-square representations and their completion: in 0101 both gapped

@@ -22,14 +22,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .alphas import ALPHA_INDICES
-from .search import InstanceWitness, PermModel, SearchConfig, _compiled, _suffix_witness
-from .words import (
-    TERNARY_THUE_MORPHISM,
-    THUE_MORSE_MORPHISM,
-    Morphism,
-    Word,
-    is_four_power_free,
-)
+from .search import InstanceWitness, PermModel, SearchConfig, verify_word_avoids
+from .words import TERNARY_THUE_MORPHISM, THUE_MORSE_MORPHISM, Morphism, Word
 
 __all__ = [
     "MorphicWordSpec",
@@ -40,10 +34,8 @@ __all__ = [
     "ternary_thue_spec",
     "builtin_spec",
     "load_spec",
-    "h_alpha_prefix",
     "max_gap_without_full_image",
     "verify_prefix_avoids",
-    "four_power_free_certificate",
 ]
 
 #: Letter-to-block coding of the ternary Thue word onto five letters.
@@ -90,9 +82,6 @@ class MorphicWordSpec:
         if self.coding is None:
             return Word(base_word.letters[:length], self.base.target_alphabet)
         coded = self.coding.apply_letters(base_word.letters)
-        while len(coded) < length:
-            base_word = self.base.fixed_point_prefix(self.seed, 2 * len(base_word))
-            coded = self.coding.apply_letters(base_word.letters)
         return Word(coded[:length], self.coding.target_alphabet)
 
     def complete_image_spans(self, length: int) -> list[tuple[int, int]]:
@@ -153,17 +142,26 @@ def load_spec(source: str | Path) -> MorphicWordSpec:
     """A builtin spec by name, or a spec parsed from a JSON file."""
     if isinstance(source, str) and source in _BUILTINS:
         return builtin_spec(source)
-    data = json.loads(Path(source).read_text(encoding="utf-8"))
+    path = Path(source)
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ValueError(f"spec file {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise ValueError(f"spec file {path}: not valid JSON ({exc})") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"spec file {path}: expected a JSON object")
+    for key in ("base", "seed"):
+        if key not in data:
+            raise ValueError(f"spec file {path}: missing key {key!r}")
+    for key in ("base", "coding"):
+        if not isinstance(data.get(key, {}), dict):
+            raise ValueError(f"spec file {path}: {key!r} must be a JSON object")
     base = Morphism.from_json_dict(data["base"], data.get("base_alphabet"))
     coding = None
     if "coding" in data:
         coding = Morphism.from_json_dict(data["coding"], data.get("target_alphabet"))
     return MorphicWordSpec(base, int(data["seed"]), coding, data.get("name"))
-
-
-def h_alpha_prefix(length: int) -> Word:
-    """Prefix of the coded ternary Thue word over five letters."""
-    return h_alpha_spec().generate(length)
 
 
 def max_gap_without_full_image(spec: MorphicWordSpec, length: int) -> int:
@@ -228,62 +226,40 @@ def verify_prefix_avoids(
     """Exhaustively check every factor of the prefix up to the block-length bound.
 
     ``max_positions`` caps how many factor end positions are examined; when it
-    is exceeded the certificate reports status "partial" with the prefix
-    length actually covered.
+    stops the scan short the certificate reports status "partial" with the
+    prefix length actually covered.
     """
-    if max_block_length < 1 or prefix_length < 1:
+    if max_block_length < 1 or prefix_length < 1 or (
+        max_positions is not None and max_positions < 1
+    ):
         raise ValueError("bounds must be positive")
     params = tuple(sorted(set(forbidden_params)))
     if any(a not in ALPHA_INDICES for a in params):
         raise ValueError("forbidden parameters must be alpha indices in 1..14")
-    word = spec.generate(prefix_length)
+    letters = spec.generate(prefix_length).letters
     config = SearchConfig.for_params(
         alphabet=spec.target_alphabet, params=params, model=model
     )
-    compiled = _compiled(config.model, config.alphabet)
-    gap = (
-        max_gap_without_full_image(spec, prefix_length) if spec.coding is not None else None
-    )
-    letters = word.letters
-    positions = 0
-    for end in range(4, len(letters) + 1):
-        if max_positions is not None and positions >= max_positions:
-            return AvoidanceCertificate(
-                spec=spec,
-                prefix_length=prefix_length,
-                max_block_length=max_block_length,
-                forbidden_params=params,
-                model=model,
-                status="partial",
-                gap_without_full_image=gap,
-                checked_prefix_length=end - 1,
-            )
-        positions += 1
-        witness = _suffix_witness(letters, end, config, compiled, max_block_length)
-        if witness is not None:
-            return AvoidanceCertificate(
-                spec=spec,
-                prefix_length=prefix_length,
-                max_block_length=max_block_length,
-                forbidden_params=params,
-                model=model,
-                status="witness",
-                witness=witness,
-                gap_without_full_image=gap,
-                checked_prefix_length=end,
-            )
+    # The k-th examined end position is k + 3, so a cap of P positions covers
+    # exactly the factors of the first P + 3 letters.
+    checked = letters if max_positions is None else letters[: max_positions + 3]
+    witness = verify_word_avoids(checked, config, max_block=max_block_length)
+    if witness is not None:
+        status, checked_length = "witness", witness.start + 4 * witness.block_length
+    elif len(checked) < len(letters):
+        status, checked_length = "partial", len(checked)
+    else:
+        status, checked_length = "clean", prefix_length
     return AvoidanceCertificate(
         spec=spec,
         prefix_length=prefix_length,
         max_block_length=max_block_length,
         forbidden_params=params,
         model=model,
-        status="clean",
-        gap_without_full_image=gap,
-        checked_prefix_length=prefix_length,
+        status=status,
+        witness=witness,
+        gap_without_full_image=(
+            max_gap_without_full_image(spec, prefix_length) if spec.coding is not None else None
+        ),
+        checked_prefix_length=checked_length,
     )
-
-
-def four_power_free_certificate(spec: MorphicWordSpec, length: int) -> bool:
-    """True iff the length-L prefix contains no factor u u u u."""
-    return is_four_power_free(spec.generate(length))

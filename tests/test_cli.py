@@ -156,14 +156,50 @@ class TestVerifyMorphicCommand:
         assert report["result"]["gap_without_full_image"] == 30
 
 
+class TestDomainErrors:
+    def assert_one_line_error(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("permavoid: error: ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        return captured.err
+
+    def test_missing_spec_file(self, capsys, tmp_path):
+        err = self.assert_one_line_error(
+            capsys,
+            ["verify-morphic", "--spec", str(tmp_path / "absent.json"), "--forbidden", "10"],
+        )
+        assert "spec file" in err
+
+    def test_spec_file_without_seed(self, capsys, tmp_path):
+        path = tmp_path / "noseed.json"
+        path.write_text(json.dumps({"base": {"0": "01", "1": "10"}}), encoding="utf-8")
+        err = self.assert_one_line_error(
+            capsys, ["verify-morphic", "--spec", str(path), "--forbidden", "10"]
+        )
+        assert "'seed'" in err
+
+    def test_malformed_spec_file(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        for document in ("[1, 2]", '{"base": "012", "seed": 0}', "{"):
+            path.write_text(document, encoding="utf-8")
+            self.assert_one_line_error(
+                capsys, ["verify-morphic", "--spec", str(path), "--forbidden", "10"]
+            )
+
+    def test_oversized_model(self, capsys):
+        err = self.assert_one_line_error(capsys, ["search", "--m", "9", "--forbidden", "1,2,3"])
+        assert "362,880" in err
+
+
 class TestCliContract:
     def test_usage_error_exit_code(self, capsys):
         assert main(["alphas", "--i", "1", "--j", "2"]) == 64
         assert main(["unknown-command"]) == 64
         assert main([]) == 64
-
-    def test_threads_validation(self, capsys):
-        assert main(["alphas", "--i", "1", "--j", "2", "--k", "3", "--threads", "0"]) == 1
 
     def test_reports_byte_identical_modulo_timing(self, capsys):
         argv = ["classify", "--i", "3", "--j", "7", "--k", "6"]

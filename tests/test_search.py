@@ -1,5 +1,6 @@
 import random
 from itertools import permutations
+from math import factorial
 
 import pytest
 
@@ -79,6 +80,22 @@ class TestModels:
     def test_small_alphabet_rejected(self):
         with pytest.raises(ValueError):
             model_permutations(PermModel.FULL_CYCLE, 1)
+
+    def test_closed_form_sizes(self):
+        for m in (3, 4, 5, 6):
+            assert len(model_permutations(PermModel.ALL_PERMUTATIONS, m)) == factorial(m)
+            assert len(model_permutations(PermModel.FULL_CYCLE, m)) == factorial(m - 1)
+            assert len(model_permutations(PermModel.FIX_ONE_POINT_CYCLE, m)) == m * factorial(m - 2)
+
+    def test_oversized_models_rejected_before_enumeration(self):
+        # 9! = 362,880 and 11! = 39,916,800 permutations; the closed-form
+        # size check raises before any of them is built
+        for model, m in ((PermModel.ALL_PERMUTATIONS, 9), (PermModel.FULL_CYCLE, 12)):
+            with pytest.raises(ValueError, match="permutations"):
+                model_permutations(model, m)
+        with pytest.raises(ValueError):
+            model_permutations(PermModel.FIX_ONE_POINT_CYCLE, 9)
+        assert len(model_permutations(PermModel.FULL_CYCLE, 9)) == factorial(8)
 
 
 class TestForbiddenPatterns:
@@ -297,21 +314,36 @@ class TestLongestAvoidingWord:
             assert pruned.nodes_visited <= unpruned.nodes_visited
 
     def test_monotone_in_forbidden_set(self):
+        # every pattern forbidden for {10, 11} is forbidden for {10, 11, 12, 13},
+        # so a word avoiding the larger set avoids the smaller one
         small = SearchConfig(
-            alphabet=3,
-            forbidden=forbidden_patterns({10, 11}),
-            model=PermModel.ALL_PERMUTATIONS,
-            length_cap=18,
+            alphabet=3, forbidden=forbidden_patterns({10, 11}), model=PermModel.ALL_PERMUTATIONS
         )
         large = SearchConfig(
             alphabet=3,
             forbidden=forbidden_patterns({10, 11, 12, 13}),
             model=PermModel.ALL_PERMUTATIONS,
-            length_cap=18,
         )
-        shorter = longest_avoiding_word(large, stop_at_cap=False)
-        longer = longest_avoiding_word(small, stop_at_cap=False)
-        assert shorter.max_length_found <= longer.max_length_found
+        assert small.forbidden < large.forbidden
+        rng = random.Random(1913)
+        words = [bytes(rng.randrange(3) for _ in range(rng.randint(4, 30))) for _ in range(300)]
+        # searches forbidding a superset of the larger set give five distinct
+        # witnesses; each of their prefixes avoids the larger set too
+        for extra in ((), (6,), (7,), (8,), (9,)):
+            config = SearchConfig.for_params(
+                alphabet=3,
+                params={10, 11, 12, 13, *extra},
+                model=PermModel.ALL_PERMUTATIONS,
+                length_cap=30,
+            )
+            witness = longest_avoiding_word(config).witness_word.letters
+            words.extend(witness[:n] for n in range(4, len(witness) + 1))
+        avoiding = 0
+        for w in words:
+            if verify_word_avoids(w, large) is None:
+                avoiding += 1
+                assert verify_word_avoids(w, small) is None
+        assert avoiding >= 100
 
     def test_known_maximal_word_cannot_be_extended(self):
         # the 36-letter witness admits no extension by any letter of its alphabet

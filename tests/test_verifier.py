@@ -7,8 +7,6 @@ from permavoid.verifier import (
     H_ALPHA_CODING,
     MorphicWordSpec,
     builtin_spec,
-    four_power_free_certificate,
-    h_alpha_prefix,
     h_alpha_spec,
     load_spec,
     max_gap_without_full_image,
@@ -16,19 +14,19 @@ from permavoid.verifier import (
     thue_morse_spec,
     verify_prefix_avoids,
 )
-from permavoid.words import Morphism, is_square_free, ternary_thue_prefix
+from permavoid.words import Morphism, is_four_power_free, is_square_free, ternary_thue_prefix
 
 
 class TestHAlphaConstruction:
     def test_first_image(self):
-        assert h_alpha_prefix(16).text() == "0123041203410234"
+        assert h_alpha_spec().generate(16).text() == "0123041203410234"
 
     def test_first_two_images(self):
-        assert h_alpha_prefix(32).text() == "0123041203410234" + "0132403124302134"
+        assert h_alpha_spec().generate(32).text() == "0123041203410234" + "0132403124302134"
 
     def test_requested_length_honoured(self):
         for length in (1, 7, 16, 100, 1234):
-            assert len(h_alpha_prefix(length)) == length
+            assert len(h_alpha_spec().generate(length)) == length
 
     def test_coding_image_shapes(self):
         images = [H_ALPHA_CODING.image(a) for a in range(3)]
@@ -40,7 +38,7 @@ class TestHAlphaConstruction:
     def test_decodes_back_to_base_word(self):
         # the coding is injective on images, so cutting at image boundaries
         # recovers a prefix of the base word
-        word = h_alpha_prefix(2048).letters
+        word = h_alpha_spec().generate(2048).letters
         inverse = {H_ALPHA_CODING.image(a): a for a in range(3)}
         decoded = bytes(
             inverse[word[pos : pos + 16]] for pos in range(0, len(word) - 15, 16)
@@ -99,6 +97,7 @@ class TestVerifyPrefixAvoids:
         assert witness.block_length == 1
         assert witness.blocks == (b"\x00", b"\x01", b"\x00", b"\x01")
         assert witness.pattern == "0101"
+        assert certificate.checked_prefix_length == 4
 
     def test_position_cap_gives_partial_status(self):
         certificate = verify_prefix_avoids(
@@ -110,7 +109,21 @@ class TestVerifyPrefixAvoids:
             max_positions=50,
         )
         assert certificate.status == "partial"
-        assert certificate.checked_prefix_length < 600
+        assert certificate.checked_prefix_length == 53
+
+    def test_position_cap_boundary(self):
+        # P positions are the end positions 4 .. P + 3, so a prefix of exactly
+        # P + 3 letters is fully checked and one letter more is not
+        def certify(length, max_positions):
+            return verify_prefix_avoids(
+                ternary_thue_spec(), [6, 9, 10], PermModel.ALL_PERMUTATIONS,
+                max_block_length=5, prefix_length=length, max_positions=max_positions,
+            )
+
+        full, short = certify(20, 17), certify(20, 16)
+        assert (full.status, full.checked_prefix_length) == ("clean", 20)
+        assert (short.status, short.checked_prefix_length) == ("partial", 19)
+        assert certify(3, 1).status == "clean"
 
     def test_h_alpha_clean_one_past_the_gap(self):
         # blocks one letter longer than the widest image-free factor stay clean
@@ -139,6 +152,12 @@ class TestVerifyPrefixAvoids:
             verify_prefix_avoids(
                 ternary_thue_spec(), [0, 3], PermModel.ALL_PERMUTATIONS, 5, 100
             )
+        for max_positions in (0, -5):
+            with pytest.raises(ValueError, match="bounds must be positive"):
+                verify_prefix_avoids(
+                    ternary_thue_spec(), [3], PermModel.ALL_PERMUTATIONS, 5, 100,
+                    max_positions=max_positions,
+                )
 
     def test_detector_cross_check_on_h_alpha_factors(self):
         # sample factors of the five-letter word and compare the detector's
@@ -150,7 +169,7 @@ class TestVerifyPrefixAvoids:
         from permavoid.search import SearchConfig, suffix_instance
         from permavoid.search import forbidden_patterns
 
-        word = h_alpha_prefix(1200).letters
+        word = h_alpha_spec().generate(1200).letters
         forbidden = forbidden_patterns(range(2, 15))
         config = SearchConfig(alphabet=5, forbidden=forbidden, model=PermModel.ALL_PERMUTATIONS)
 
@@ -207,14 +226,14 @@ class TestVerifyPrefixAvoids:
 
 class TestFourPowerCertificates:
     def test_thue_morse(self):
-        assert four_power_free_certificate(thue_morse_spec(), 4000)
+        assert is_four_power_free(thue_morse_spec().generate(4000))
 
     def test_constant_word(self):
         spec = MorphicWordSpec(Morphism({0: "00"}), 0)
-        assert not four_power_free_certificate(spec, 4)
+        assert not is_four_power_free(spec.generate(4))
 
     def test_h_alpha_small(self):
-        assert four_power_free_certificate(h_alpha_spec(), 4000)
+        assert is_four_power_free(h_alpha_spec().generate(4000))
 
 
 class TestSpecs:
@@ -248,7 +267,7 @@ class TestSpecs:
         loaded = load_spec(path)
         assert loaded.base == h_alpha_spec().base
         assert loaded.coding == h_alpha_spec().coding
-        assert loaded.generate(64) == h_alpha_prefix(64)
+        assert loaded.generate(64) == h_alpha_spec().generate(64)
 
     def test_load_spec_builtin_name(self):
         assert load_spec("ternary-thue").generate(20) == ternary_thue_prefix(20)
