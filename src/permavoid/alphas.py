@@ -8,12 +8,20 @@ occurrence gives a canonical 4-digit equality pattern such as "0012" (first
 two items equal, the rest pairwise distinct).
 
 alpha_a is the least orbit length t at which the equality pattern equals the
-a-th canonical representation, or infinity when no t achieves it.  Any
-divisibility condition t | x with x != 0 bounds t by x, and every t larger
-than all of i, j, k and their pairwise differences produces the same pattern
-as t = bound + 1, so a scan up to that bound decides finiteness exactly.
+a-th canonical representation, or infinity when no t achieves it.  The
+pattern at t depends only on which of the six differences i, j, k, j - i,
+k - i, k - j t divides, so it can change only at divisors of the nonzero
+differences; every t that divides none of them gives one and the same
+pattern.  :func:`profile` therefore visits, in ascending order, the divisors
+of the nonzero differences (trial division up to the square root) and the
+least t dividing none of them, and keeps the first t seen for each pattern.
+Exponents above ``MAX_EXPONENT`` are rejected, which bounds that work.
 The convention t | 0 for every t >= 1 is used throughout (so items with
 equal exponents can never be assigned distinct digits).
+
+The definitional scan, :func:`representation` for t = 1 ..
+:func:`alpha_scan_bound` (every t past the bound repeats the pattern at the
+bound), stays public as the test oracle for :func:`profile`.
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ from .words import WordLike, as_letters
 
 __all__ = [
     "INFINITY",
+    "MAX_EXPONENT",
     "ALPHA_INDICES",
     "REPRESENTATIONS",
     "ALL_PATTERNS",
@@ -55,6 +64,10 @@ __all__ = [
 ]
 
 INFINITY = math.inf
+
+#: Largest exponent :func:`profile` accepts; its trial division then stays
+#: under a million steps per difference.
+MAX_EXPONENT = 10**12
 
 ALPHA_INDICES = range(1, 15)
 
@@ -223,22 +236,44 @@ class AlphaProfile:
         }
 
 
+def _equality_mask(pattern: str) -> int:
+    return sum(bit << pos for pos, bit in enumerate(_pattern_equality_key(pattern)))
+
+
+#: Divisibility mask of each representation, in alpha order; bit p of a mask
+#: says that t divides the p-th of (i, j, k, j-i, k-i, k-j).
+_REPRESENTATION_MASKS = tuple(_equality_mask(REPRESENTATIONS[a]) for a in ALPHA_INDICES)
+
+
 @lru_cache(maxsize=65536)
 def _profile_cached(i: int, j: int, k: int) -> AlphaProfile:
     exp = PatternExponents(i, j, k)
-    bound = alpha_scan_bound(exp)
-    first_seen: dict[str, int] = {}
-    for t in range(1, bound + 1):
-        pattern = representation(t, exp)
-        first_seen.setdefault(pattern, t)
-    values = tuple(
-        first_seen.get(REPRESENTATIONS[a], INFINITY) for a in ALPHA_INDICES
-    )
+    zero_mask = 0
+    masks: dict[int, int] = {}  # divisor t -> the differences it divides
+    for pos, d in enumerate((i, j, k, j - i, k - i, k - j)):
+        bit = 1 << pos
+        d = abs(d)
+        if d == 0:
+            zero_mask |= bit
+            continue
+        small = [t for t in range(1, math.isqrt(d) + 1) if d % t == 0]
+        for t in small + [d // t for t in small]:
+            masks[t] = masks.get(t, 0) | bit
+    first_free = 1
+    while first_free in masks:
+        first_free += 1
+    masks[first_free] = 0
+    first_seen: dict[int, int] = {}
+    for t in sorted(masks):
+        first_seen.setdefault(masks[t] | zero_mask, t)
+    values = tuple(first_seen.get(mask, INFINITY) for mask in _REPRESENTATION_MASKS)
     return AlphaProfile(exp, values)
 
 
 def profile(e) -> AlphaProfile:
     exp = _exponents(e)
+    if max(exp.i, exp.j, exp.k) > MAX_EXPONENT:
+        raise ValueError(f"exponents must be at most {MAX_EXPONENT:,}, got {exp.as_tuple()}")
     return _profile_cached(exp.i, exp.j, exp.k)
 
 

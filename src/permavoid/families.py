@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from operator import itemgetter
 from typing import Callable, Iterable
 
 from .alphas import (
@@ -364,6 +365,18 @@ def all_unavoidable_sets() -> tuple[ParamSet, ...]:
     return tuple(sorted(out, key=lambda s: (len(s), sorted(s))))
 
 
+@lru_cache(maxsize=1)
+def _compiled_sets() -> tuple[tuple[ParamSet, ...], tuple[Callable, ...]]:
+    """The sets of :func:`all_unavoidable_sets` with one getter per set.
+
+    Each getter picks the set's members, as 0-based slots, out of
+    ``AlphaProfile.values``; every set has at least five members, so it
+    returns a tuple.
+    """
+    sets = all_unavoidable_sets()
+    return sets, tuple(itemgetter(*(a - 1 for a in sorted(s))) for s in sets)
+
+
 def set_max(s: ParamSet, e) -> int | float:
     """Maximum alpha value over the set; infinity absorbs."""
     prof = profile(e)
@@ -381,16 +394,12 @@ def sigma(e) -> tuple[int | float, ParamSet]:
         raise ValueError(
             "sigma requires positive pairwise-distinct exponents; use classify for degenerate triples"
         )
-    prof = profile(exp)
-    best: int | float = INFINITY
-    witness: ParamSet | None = None
-    for s in all_unavoidable_sets():
-        value = max(prof.value(a) for a in s)
-        if value < best or (value == best and witness is None):
-            best = value
-            witness = s
-    assert witness is not None
-    return best, witness
+    values = profile(exp).values
+    sets, getters = _compiled_sets()
+    maxima = [max(getter(values)) for getter in getters]
+    best = min(maxima)
+    # the first set attaining the minimum; sets[0] when sigma is infinite
+    return best, sets[maxima.index(best)]
 
 
 _DEGENERATE_NONE = "none"

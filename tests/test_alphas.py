@@ -1,5 +1,6 @@
 import math
-from itertools import permutations
+import random
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from permavoid.alphas import (
     ALL_PATTERNS,
     ALPHA_INDICES,
     INFINITY,
+    MAX_EXPONENT,
     REPRESENTATIONS,
     PatternExponents,
     alpha_scan_bound,
@@ -54,6 +56,14 @@ def oracle_alpha(a: int, e, limit: int = 200) -> int | float:
         if oracle_pattern((0 % t, i % t, j % t, k % t)) == REPRESENTATIONS[a]:
             return t
     return INFINITY
+
+
+def scan_profile(e) -> tuple[int | float, ...]:
+    """Definitional profile: first t in 1..alpha_scan_bound(e) giving each pattern."""
+    first_seen: dict[str, int] = {}
+    for t in range(1, alpha_scan_bound(e) + 1):
+        first_seen.setdefault(representation(t, e), t)
+    return tuple(first_seen.get(REPRESENTATIONS[a], INFINITY) for a in ALPHA_INDICES)
 
 
 class TestRepresentation:
@@ -128,6 +138,40 @@ class TestAlphaValues:
         for e in [(1, 2, 3), (5, 11, 2), (7, 14, 21), (4, 9, 25)]:
             value = profile(e).value(1)
             assert value != INFINITY and value > 3
+
+
+class TestDivisorProfile:
+    """The divisor-candidate profile against the definitional scan."""
+
+    def test_small_box_with_zeros_and_equal_exponents(self):
+        for e in product(range(13), repeat=3):
+            assert profile(e).values == scan_profile(e), e
+
+    def test_highly_composite_exponents(self):
+        composite = (720, 840, 2520, 5040)
+        triples = list(permutations(composite, 3)) + [
+            (720, 1440, 2160),
+            (840, 0, 5040),
+            (2520, 2520, 5040),
+            (5040, 720, 5040),
+            (1, 720, 5040),
+            (5039, 5040, 2520),
+        ]
+        for e in triples:
+            assert profile(e).values == scan_profile(e), e
+
+    def test_seeded_random_large_triples(self):
+        rng = random.Random(2024)
+        for _ in range(100):
+            e = tuple(rng.randint(0, 3000) for _ in range(3))
+            assert profile(e).values == scan_profile(e), e
+
+    def test_exponent_cap(self):
+        # 10**12 is divisible by 4 and 5; mod 6 the items are 0, 4, 2, 3
+        assert profile((MAX_EXPONENT, 2, 3)).value(1) == 6
+        for e in [(MAX_EXPONENT + 1, 2, 3), (1, 2, 10**13)]:
+            with pytest.raises(ValueError, match="at most"):
+                profile(e)
 
 
 class TestExponents:

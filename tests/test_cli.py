@@ -1,4 +1,5 @@
 import json
+import time
 
 from permavoid.cli import main
 
@@ -57,6 +58,18 @@ class TestSigmaAndClassify:
         code, report = run_json(capsys, ["classify", "--i", "2", "--j", "2", "--k", "5"])
         assert code == 0
         assert report["result"]["degenerate_case"] == "i=j or j=k"
+
+
+class TestHugeExponents:
+    def test_alpha_commands_answer_fast(self, capsys):
+        for command in ("alphas", "sigma", "classify"):
+            started = time.perf_counter()
+            code, report = run_json(
+                capsys, [command, "--i", "100000000", "--j", "2", "--k", "3"]
+            )
+            assert time.perf_counter() - started < 1.0, command
+            assert code == 0
+            assert report["result"]["exponents"] == {"i": 100000000, "j": 2, "k": 3}
 
 
 class TestFamiliesCommand:
@@ -189,6 +202,12 @@ class TestDomainErrors:
             self.assert_one_line_error(
                 capsys, ["verify-morphic", "--spec", str(path), "--forbidden", "10"]
             )
+
+    def test_exponent_above_cap(self, capsys):
+        err = self.assert_one_line_error(
+            capsys, ["alphas", "--i", "10000000000000", "--j", "2", "--k", "3"]
+        )
+        assert "at most" in err
 
     def test_oversized_model(self, capsys):
         err = self.assert_one_line_error(capsys, ["search", "--m", "9", "--forbidden", "1,2,3"])

@@ -2,7 +2,15 @@ import random
 
 import pytest
 
-from permavoid.alphas import INFINITY, REPRESENTATIONS, PatternExponents, profile
+from permavoid.alphas import (
+    ALPHA_INDICES,
+    INFINITY,
+    REPRESENTATIONS,
+    PatternExponents,
+    alpha_scan_bound,
+    profile,
+    representation,
+)
 from permavoid.families import (
     FAMILY_IDS,
     all_unavoidable_sets,
@@ -56,6 +64,14 @@ def oracle_sigma(e):
         value = max(oracle_alpha(a, e) for a in s)
         best = min(best, value)
     return best
+
+
+def scan_profile(e):
+    """Alpha values by the definitional scan over t = 1..alpha_scan_bound(e)."""
+    first_seen = {}
+    for t in range(1, alpha_scan_bound(e) + 1):
+        first_seen.setdefault(representation(t, e), t)
+    return [first_seen.get(REPRESENTATIONS[a], INFINITY) for a in ALPHA_INDICES]
 
 
 class TestEnumeration:
@@ -157,6 +173,29 @@ class TestSigma:
         for s in all_unavoidable_sets():
             extra = rng.sample([a for a in range(1, 15) if a not in s], 2)
             assert set_max(s | set(extra), e) >= base_min
+
+    def test_witness_is_first_set_attaining_minimum(self):
+        rng = random.Random(5)
+        grid = [
+            (i, j, k)
+            for i in range(1, 31)
+            for j in range(1, 31)
+            for k in range(1, 31)
+            if len({i, j, k}) == 3
+        ]
+        large = []
+        while len(large) < 20:
+            e = tuple(rng.randint(31, 3000) for _ in range(3))
+            if len(set(e)) == 3:
+                large.append(e)
+        sets = all_unavoidable_sets()
+        for e in rng.sample(grid, 500) + large + [(1, 2, 3)]:
+            values = scan_profile(e)
+            maxima = [max(values[a - 1] for a in s) for s in sets]
+            v = min(maxima)
+            first = next(s for s, m in zip(sets, maxima) if m == v)
+            assert sigma(e) == (v, first), e
+        assert sigma((1, 2, 3)) == (INFINITY, sets[0])
 
     def test_minimum_at_least_four_sample(self):
         for e in [(3, 7, 6), (6, 3, 2), (1, 7, 4), (2, 9, 4)]:
