@@ -166,11 +166,6 @@ class PatternExponents:
             raise ValueError("exponents must be nonnegative")
 
     @property
-    def items(self) -> tuple[int, int, int, int]:
-        """Exponents of the four x-items, including the leading implicit 0."""
-        return (0, self.i, self.j, self.k)
-
-    @property
     def is_valid_for_sigma(self) -> bool:
         """True when i, j, k are positive and pairwise distinct."""
         return (

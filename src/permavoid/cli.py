@@ -36,6 +36,29 @@ def _add_exponents(parser: argparse.ArgumentParser, required: bool = True) -> No
     parser.add_argument("--k", type=int, required=required)
 
 
+def _add_instance_options(parser: argparse.ArgumentParser) -> None:
+    """What makes a search configuration, shared by `search` and `verify-word`."""
+    parser.add_argument("--m", type=int, required=True, help="alphabet size")
+    parser.add_argument(
+        "--forbidden", type=str, required=True, help="comma list of alpha indices, e.g. 1,2,4,6,7"
+    )
+    parser.add_argument("--model", choices=[m.value for m in PermModel], default="all")
+    parser.add_argument("--mode", choices=["abstract", "fixed"], default="abstract")
+    _add_exponents(parser, required=False)
+    parser.add_argument(
+        "--keep-all-equal",
+        action=argparse.BooleanOptionalAction,
+        default=True,
+        help="also forbid four equal blocks (a 4-power)",
+    )
+    parser.add_argument(
+        "--gapped-square-completion",
+        action=argparse.BooleanOptionalAction,
+        default=True,
+        help="forbid 0101 whenever a gapped-square representation is forbidden",
+    )
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--format", choices=["json", "text"], default="json", help="output format"
@@ -75,42 +98,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(families_cmd)
 
     search_cmd = sub.add_parser("search", help="longest word avoiding a parameter set")
-    search_cmd.add_argument("--m", type=int, required=True, help="alphabet size")
-    search_cmd.add_argument(
-        "--forbidden", type=str, required=True, help="comma list of alpha indices, e.g. 1,2,4,6,7"
-    )
-    search_cmd.add_argument("--model", choices=[m.value for m in PermModel], default="all")
-    search_cmd.add_argument("--mode", choices=["abstract", "fixed"], default="abstract")
-    _add_exponents(search_cmd, required=False)
+    _add_instance_options(search_cmd)
     search_cmd.add_argument("--cap", type=int, default=400, help="length cap")
     search_cmd.add_argument("--budget", type=int, default=100_000_000, help="node budget")
-    search_cmd.add_argument(
-        "--keep-all-equal",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="also forbid four equal blocks (a 4-power)",
-    )
-    search_cmd.add_argument(
-        "--gapped-square-completion",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="forbid 0101 whenever a gapped-square representation is forbidden",
-    )
     _add_common(search_cmd)
 
     verify_word_cmd = sub.add_parser("verify-word", help="check one word against a parameter set")
     verify_word_cmd.add_argument("--word", type=str, required=True, help="digit string")
-    verify_word_cmd.add_argument("--m", type=int, required=True)
-    verify_word_cmd.add_argument("--forbidden", type=str, required=True)
-    verify_word_cmd.add_argument("--model", choices=[m.value for m in PermModel], default="all")
-    verify_word_cmd.add_argument("--mode", choices=["abstract", "fixed"], default="abstract")
-    _add_exponents(verify_word_cmd, required=False)
-    verify_word_cmd.add_argument(
-        "--keep-all-equal", action=argparse.BooleanOptionalAction, default=True
-    )
-    verify_word_cmd.add_argument(
-        "--gapped-square-completion", action=argparse.BooleanOptionalAction, default=True
-    )
+    _add_instance_options(verify_word_cmd)
     _add_common(verify_word_cmd)
 
     verify_morphic_cmd = sub.add_parser(

@@ -153,6 +153,8 @@ class SearchConfig:
         for pattern in self.forbidden:
             if not is_canonical_pattern(pattern):
                 raise ValueError(f"{pattern!r} is not a canonical equality pattern")
+        if self.exponents is not None and len(self.exponents) != 3:
+            raise ValueError(f"fixed mode needs three exponents, got {self.exponents!r}")
         if self.exponents is not None and min(self.exponents) < 1:
             raise ValueError("fixed exponents must be positive")
         if self.length_cap < 1 or self.node_budget < 1:
@@ -178,10 +180,6 @@ class SearchConfig:
             length_cap=length_cap,
             node_budget=node_budget,
         )
-
-    @property
-    def abstract(self) -> bool:
-        return self.exponents is None
 
 
 @dataclass(frozen=True)
@@ -227,54 +225,50 @@ class SearchResult:
         }
 
 
-class _CompiledModel:
-    """Per-permutation power translation tables, shared across a search."""
-
-    __slots__ = ("perms", "tables", "orders")
-
-    def __init__(self, model: PermModel, m: int):
-        self.perms = model_permutations(model, m)
-        self.tables = [p.power_tables() for p in self.perms]
-        self.orders = [p.order for p in self.perms]
+#: Each model permutation with its power tables f^0 .. f^(order-1).
+_Compiled = tuple[tuple[Permutation, tuple[bytes, ...]], ...]
 
 
 @lru_cache(maxsize=64)
-def _compiled(model: PermModel, m: int) -> _CompiledModel:
-    return _CompiledModel(model, m)
+def _compiled(model: PermModel, m: int) -> _Compiled:
+    """Power translation tables in ``model_permutations`` order, shared across a search."""
+    perms = model_permutations(model, m)
+    # the pairs are built after all the tables, so they lie together in memory
+    # for the matcher's walk over every permutation (5,040 at m = 7)
+    return tuple(zip(perms, [perm.power_tables() for perm in perms]))
 
 
-def _match_abstract(compiled: _CompiledModel, u: bytes, v1: bytes, v2: bytes, v3: bytes):
-    """First (perm index, exponents) mapping u onto every block by powers, or None."""
-    for idx, tables in enumerate(compiled.tables):
-        order = compiled.orders[idx]
-        exponents = []
-        for v in (v1, v2, v3):
-            for d in range(order):
-                if v == u.translate(tables[d]):
-                    exponents.append(d if d >= 1 else order)
-                    break
-            else:
-                break
-        if len(exponents) == 3:
-            return idx, tuple(exponents)
-    return None
-
-
-def _match_fixed(
-    compiled: _CompiledModel, u: bytes, v1: bytes, v2: bytes, v3: bytes, exponents: tuple[int, int, int]
+def _match(
+    compiled: _Compiled, u: bytes, v1: bytes, v2: bytes, v3: bytes, exponents: tuple[int, int, int] | None
 ):
-    for idx, tables in enumerate(compiled.tables):
-        order = compiled.orders[idx]
+    """First (permutation, exponents) whose powers map u onto v1, v2 and v3, or None.
+
+    In abstract mode (exponents None) each reported exponent is the least
+    power in 0..order(f)-1 that maps u onto the block, with 0 written as
+    order(f); in fixed mode the exponents are the given ones.  The mode is
+    tested once per call: a test inside the loop over permutations slows the
+    fixed-mode searches measurably.
+    """
+    if exponents is None:
+        for perm, tables in compiled:
+            images = [u.translate(table) for table in tables]
+            if v1 in images and v2 in images and v3 in images:
+                order = len(tables)
+                return perm, tuple(images.index(v) or order for v in (v1, v2, v3))
+        return None
+    i, j, k = exponents
+    for perm, tables in compiled:
+        order = len(tables)
         if (
-            v1 == u.translate(tables[exponents[0] % order])
-            and v2 == u.translate(tables[exponents[1] % order])
-            and v3 == u.translate(tables[exponents[2] % order])
+            v1 == u.translate(tables[i % order])
+            and v2 == u.translate(tables[j % order])
+            and v3 == u.translate(tables[k % order])
         ):
-            return idx, exponents
+            return perm, exponents
     return None
 
 
-def _suffix_witness(w: bytes, end: int, config: SearchConfig, compiled: _CompiledModel, max_block: int):
+def _suffix_witness(w: bytes, end: int, config: SearchConfig, compiled: _Compiled, max_block: int):
     """Witness among block splits of suffixes of w[:end], or None."""
     forbidden = config.forbidden
     top = min(end // 4, max_block)
@@ -287,17 +281,14 @@ def _suffix_witness(w: bytes, end: int, config: SearchConfig, compiled: _Compile
         pattern = blocks_pattern(u, v1, v2, v3)
         if pattern not in forbidden:
             continue
-        if config.abstract:
-            hit = _match_abstract(compiled, u, v1, v2, v3)
-        else:
-            hit = _match_fixed(compiled, u, v1, v2, v3, config.exponents)
+        hit = _match(compiled, u, v1, v2, v3, config.exponents)
         if hit is not None:
-            idx, exponents = hit
+            permutation, exponents = hit
             return InstanceWitness(
                 start=s,
                 block_length=b,
                 blocks=(u, v1, v2, v3),
-                permutation=compiled.perms[idx],
+                permutation=permutation,
                 exponents=exponents,
                 pattern=pattern,
             )
@@ -329,15 +320,13 @@ def verify_word_avoids(
     return None
 
 
-def longest_avoiding_word(
-    config: SearchConfig, prune: bool = True, stop_at_cap: bool = True
-) -> SearchResult:
+def longest_avoiding_word(config: SearchConfig, prune: bool = True) -> SearchResult:
     """Depth-first backtracking for the longest word avoiding the forbidden set.
 
     Returns exhausted=True only when the whole (pruned) tree was explored
-    below the length cap within the node budget.  Hitting the cap means words
-    of at least that length exist, which leaves longer words undecided, so
-    such runs report exhausted=False.
+    below the length cap within the node budget.  The search stops at the
+    first word that reaches the cap: words of at least that length exist,
+    which leaves longer words undecided, so such runs report exhausted=False.
     """
     m = config.alphabet
     compiled = _compiled(config.model, m)
@@ -377,9 +366,7 @@ def longest_avoiding_word(
             best = bytes(w)
         if len(w) >= cap:
             cap_hit = True
-            if stop_at_cap:
-                break
-            continue
+            break
         next_letter.append(0)
         high.append(high[depth] if high[depth] >= c else c)
 

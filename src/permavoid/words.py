@@ -347,9 +347,9 @@ def ternary_thue_prefix(length: int) -> Word:
 # ---------------------------------------------------------------------------
 # Repetition checkers.
 #
-# The "scan" method is the definitional factor scan and serves as the oracle;
-# the "runs" method reduces each period to a longest-run computation over a
-# shift-equality mask and is validated against the scan in the test suite.
+# Each checker reduces every period to a longest-run computation over a
+# shift-equality mask.  The definitional factor scans below them are the test
+# oracle: the test suite calls them directly and compares.
 # ---------------------------------------------------------------------------
 
 
@@ -402,35 +402,21 @@ def _overlap_free_scan(w: bytes) -> bool:
     return True
 
 
-_SCAN_CUTOFF = 400
-
-
-def _check(word: WordLike, method: str, scan, runs) -> bool:
-    letters = as_letters(word)
-    if method == "scan":
-        return scan(letters)
-    if method == "runs":
-        return runs(letters)
-    if method == "auto":
-        return scan(letters) if len(letters) <= _SCAN_CUTOFF else runs(letters)
-    raise ValueError(f"unknown method {method!r}; expected 'auto', 'scan' or 'runs'")
-
-
-def is_square_free(word: WordLike, method: str = "auto") -> bool:
+def is_square_free(word: WordLike) -> bool:
     """True iff no factor uu with u nonempty occurs."""
-    return _check(word, method, lambda w: _power_free_scan(w, 2), lambda w: _power_free_runs(w, 2))
+    return _power_free_runs(as_letters(word), 2)
 
 
-def is_cube_free(word: WordLike, method: str = "auto") -> bool:
+def is_cube_free(word: WordLike) -> bool:
     """True iff no factor uuu with u nonempty occurs."""
-    return _check(word, method, lambda w: _power_free_scan(w, 3), lambda w: _power_free_runs(w, 3))
+    return _power_free_runs(as_letters(word), 3)
 
 
-def is_four_power_free(word: WordLike, method: str = "auto") -> bool:
+def is_four_power_free(word: WordLike) -> bool:
     """True iff no factor uuuu with u nonempty occurs."""
-    return _check(word, method, lambda w: _power_free_scan(w, 4), lambda w: _power_free_runs(w, 4))
+    return _power_free_runs(as_letters(word), 4)
 
 
-def is_overlap_free(word: WordLike, method: str = "auto") -> bool:
+def is_overlap_free(word: WordLike) -> bool:
     """True iff no factor of the form a v a v a (a a letter, v possibly empty) occurs."""
-    return _check(word, method, _overlap_free_scan, _overlap_free_runs)
+    return _overlap_free_runs(as_letters(word))

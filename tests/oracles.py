@@ -1,0 +1,55 @@
+"""Slow, definitional oracles shared by the test modules.
+
+Each works on plain tuples and enumerates the definition directly.  From
+the library they use only ``canonical_pattern``, the first-occurrence
+labeling, never the matcher, its power tables or ``blocks_pattern``.
+"""
+
+from permavoid.alphas import canonical_pattern
+
+
+def perm_powers(images):
+    """Image tuples of f^0, f^1, ..., f^(order-1) for the permutation with these images."""
+    powers = [tuple(range(len(images)))]
+    while True:
+        nxt = tuple(images[a] for a in powers[-1])
+        if nxt == powers[0]:
+            break
+        powers.append(nxt)
+    return powers
+
+
+def oracle_suffix_witness(w, tables, forbidden, exponents=None):
+    """First forbidden instance that is a suffix of w, by exhaustive enumeration.
+
+    ``tables`` lists ``perm_powers`` of each candidate permutation.  Block
+    lengths are tried in ascending order and permutations in the order of
+    ``tables``.  In abstract mode (exponents None) each exponent is the least
+    e in 0..order(f)-1 whose power maps u onto the block, with 0 reported as
+    order(f) (the same power): a block equal to u always gets order(f), even
+    when a smaller power fixes u.  In fixed mode the given exponents must map
+    u onto the blocks.  Returns (start, block length, index into ``tables``,
+    exponents), or None.
+    """
+    n = len(w)
+    for b in range(1, n // 4 + 1):
+        s = n - 4 * b
+        blocks = [tuple(w[s + l * b : s + (l + 1) * b]) for l in range(4)]
+        if canonical_pattern(blocks) not in forbidden:
+            continue
+        u = blocks[0]
+        for index, powers in enumerate(tables):
+            order = len(powers)
+            images = [tuple(power[a] for a in u) for power in powers]  # f^e(u) at e % order
+            if exponents is None:
+                found = tuple(
+                    next((e or order for e in range(order) if images[e] == v), None)
+                    for v in blocks[1:]
+                )
+            else:
+                found = tuple(
+                    e if images[e % order] == v else None for e, v in zip(exponents, blocks[1:])
+                )
+            if None not in found:
+                return s, b, index, found
+    return None

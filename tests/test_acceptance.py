@@ -31,8 +31,11 @@ from permavoid.verifier import (
     max_gap_without_full_image,
     verify_prefix_avoids,
 )
+from permavoid.words import _overlap_free_scan, _power_free_scan
 from permavoid.words import is_cube_free, is_overlap_free, is_square_free
 from permavoid.words import ternary_thue_prefix, thue_morse_prefix
+
+from oracles import oracle_suffix_witness, perm_powers
 
 PAPER_WITNESS = "010210210210033001133001133001133000"
 
@@ -103,21 +106,11 @@ def test_criterion_03_h_alpha_certificate():
     report(3, "h-alpha certificate", passed, f"status={certificate.status} gap={gap}")
 
 
-def _perm_powers(images):
-    powers = [tuple(range(len(images)))]
-    while True:
-        nxt = tuple(images[a] for a in powers[-1])
-        if nxt == powers[0]:
-            break
-        powers.append(nxt)
-    return powers
-
-
 def test_criterion_04_realizability_oracle_equivalence():
     mismatches = 0
     checks = 0
     for m in range(2, 7):
-        tables = [_perm_powers(f) for f in permutations(range(m))]
+        tables = [perm_powers(f) for f in permutations(range(m))]
         for i in range(1, 11):
             for j in range(1, 13):
                 for k in range(1, 13):
@@ -178,43 +171,17 @@ def test_criterion_07_classical_words():
     tm = thue_morse_prefix(10_000)
     tt = ternary_thue_prefix(10_000)
     checks = {
-        "thue-morse cube-free": is_cube_free(tm, method="scan"),
-        "thue-morse overlap-free": is_overlap_free(tm, method="scan"),
-        "ternary square-free": is_square_free(tt, method="scan"),
-        "methods agree": (
-            is_cube_free(tm, method="runs")
-            and is_overlap_free(tm, method="runs")
-            and is_square_free(tt, method="runs")
-        ),
+        "thue-morse cube-free": _power_free_scan(tm.letters, 3),
+        "thue-morse overlap-free": _overlap_free_scan(tm.letters),
+        "ternary square-free": _power_free_scan(tt.letters, 2),
+        "checkers agree": is_cube_free(tm) and is_overlap_free(tm) and is_square_free(tt),
     }
     report(7, "classical words", all(checks.values()), str(checks))
 
 
 def test_criterion_08_detector_differential():
     rng = random.Random(88271)
-    tables = {m: [_perm_powers(f) for f in permutations(range(m))] for m in (2, 3, 4)}
-
-    def oracle(word, m, forbidden):
-        n = len(word)
-        for b in range(1, n // 4 + 1):
-            s = n - 4 * b
-            blocks = [tuple(word[s + l * b : s + (l + 1) * b]) for l in range(4)]
-            pattern = canonical_pattern(blocks)
-            for powers in tables[m]:
-                order = len(powers)
-                u = blocks[0]
-                for e1 in range(1, order + 1):
-                    if tuple(powers[e1 % order][a] for a in u) != blocks[1]:
-                        continue
-                    for e2 in range(1, order + 1):
-                        if tuple(powers[e2 % order][a] for a in u) != blocks[2]:
-                            continue
-                        for e3 in range(1, order + 1):
-                            if tuple(powers[e3 % order][a] for a in u) != blocks[3]:
-                                continue
-                            if pattern in forbidden:
-                                return True
-        return False
+    tables = {m: [perm_powers(f) for f in permutations(range(m))] for m in (2, 3, 4)}
 
     mismatches = 0
     trials = 100_000
@@ -223,7 +190,8 @@ def test_criterion_08_detector_differential():
         word = bytes(rng.randrange(m) for _ in range(rng.randint(1, 16)))
         forbidden = frozenset(rng.sample(ALL_PATTERNS, rng.randint(1, 6)))
         config = SearchConfig(alphabet=m, forbidden=forbidden, model=PermModel.ALL_PERMUTATIONS)
-        if (suffix_instance(word, config) is not None) != oracle(word, m, forbidden):
+        expected = oracle_suffix_witness(word, tables[m], forbidden)
+        if (suffix_instance(word, config) is not None) != (expected is not None):
             mismatches += 1
     report(8, "detector differential", mismatches == 0, f"{trials} random words")
 
@@ -270,8 +238,8 @@ def test_criterion_10_symmetry_pruning_soundness():
             model=PermModel.ALL_PERMUTATIONS,
             length_cap=14,
         )
-        pruned = longest_avoiding_word(config, prune=True, stop_at_cap=False)
-        unpruned = longest_avoiding_word(config, prune=False, stop_at_cap=False)
+        pruned = longest_avoiding_word(config, prune=True)
+        unpruned = longest_avoiding_word(config, prune=False)
         details.append((m, sorted(params), pruned.max_length_found, unpruned.max_length_found))
         if pruned.max_length_found != unpruned.max_length_found:
             agreed = False

@@ -17,42 +17,10 @@ from permavoid.search import (
 )
 from permavoid.words import Permutation, Word
 
-
-def perm_powers(images):
-    powers = [tuple(range(len(images)))]
-    while True:
-        nxt = tuple(images[a] for a in powers[-1])
-        if nxt == powers[0]:
-            break
-        powers.append(nxt)
-    return powers
+from oracles import oracle_suffix_witness, perm_powers
 
 
 POWER_TABLES = {m: [perm_powers(f) for f in permutations(range(m))] for m in (2, 3, 4)}
-
-
-def oracle_suffix_witness(w, m, forbidden):
-    """Exhaustive enumerator: every permutation, every exponent tuple."""
-    n = len(w)
-    for b in range(1, n // 4 + 1):
-        s = n - 4 * b
-        blocks = [tuple(w[s + l * b : s + (l + 1) * b]) for l in range(4)]
-        pattern = canonical_pattern(blocks)
-        for powers in POWER_TABLES[m]:
-            order = len(powers)
-            u = blocks[0]
-            for e1 in range(1, order + 1):
-                if tuple(powers[e1 % order][a] for a in u) != blocks[1]:
-                    continue
-                for e2 in range(1, order + 1):
-                    if tuple(powers[e2 % order][a] for a in u) != blocks[2]:
-                        continue
-                    for e3 in range(1, order + 1):
-                        if tuple(powers[e3 % order][a] for a in u) != blocks[3]:
-                            continue
-                        if pattern in forbidden:
-                            return True
-    return False
 
 
 class TestModels:
@@ -171,8 +139,8 @@ class TestSuffixInstance:
             config = SearchConfig(
                 alphabet=m, forbidden=forbidden, model=PermModel.ALL_PERMUTATIONS
             )
-            assert (suffix_instance(w, config) is not None) == oracle_suffix_witness(
-                w, m, forbidden
+            assert (suffix_instance(w, config) is not None) == (
+                oracle_suffix_witness(w, POWER_TABLES[m], forbidden) is not None
             )
 
     def test_model_containment(self):
@@ -214,6 +182,58 @@ class TestSuffixInstance:
         assert suffix_instance("0202", shifted) is not None
         assert suffix_instance("0201", shifted) is None
         assert suffix_instance("0123", shifted) is None
+
+    def test_witness_identity_matches_oracle(self):
+        # the reported permutation and exponents appear in verify-word
+        # reports: the shortest block length, the first permutation in model
+        # order, and the least exponents as residues mod the order, 0 written
+        # as the order (or the fixed exponents)
+        rng = random.Random(4044)
+        later_permutation = exponent_is_order = longer_block = 0
+        for model in PermModel:
+            for m in (3, 4, 5):
+                perms = model_permutations(model, m)
+                tables = [perm_powers(p.images) for p in perms]
+                for exponents in (None, (1, 2, 3), (2, 5, 7), (4, 4, 1)):
+                    hits = 0
+                    for _ in range(120):
+                        w = bytes(rng.randrange(m) for _ in range(rng.randint(0, 12)))
+                        forbidden = set(rng.sample(ALL_PATTERNS, rng.randint(1, 8)))
+                        if rng.random() < 0.75:
+                            # plant a suffix u f^e1(u) f^e2(u) f^e3(u), exponents
+                            # up to twice the order, and usually forbid its pattern
+                            f = rng.choice(perms)
+                            u = bytes(rng.randrange(m) for _ in range(rng.randint(1, 4)))
+                            powers = exponents or [rng.randint(1, 2 * f.order) for _ in range(3)]
+                            suffix = [u] + [f.power(e).apply_letters(u) for e in powers]
+                            w += b"".join(suffix)
+                            if rng.random() < 0.8:
+                                forbidden.add(canonical_pattern(suffix))
+                        forbidden = frozenset(forbidden)
+                        config = SearchConfig(
+                            alphabet=m, forbidden=forbidden, model=model, exponents=exponents
+                        )
+                        got = suffix_instance(w, config)
+                        expected = oracle_suffix_witness(w, tables, forbidden, exponents)
+                        if expected is None:
+                            assert got is None
+                            continue
+                        hits += 1
+                        start, b, index, found = expected
+                        blocks = [w[start + l * b : start + (l + 1) * b] for l in range(4)]
+                        assert got.as_json() == {
+                            "start": start,
+                            "block_length": b,
+                            "blocks": ["".join(str(a) for a in blk) for blk in blocks],
+                            "permutation": list(perms[index].images),
+                            "exponents": list(found),
+                            "pattern": canonical_pattern(blocks),
+                        }
+                        later_permutation += index > 0
+                        exponent_is_order += perms[index].order in found
+                        longer_block += b > 1
+                    assert hits >= 50
+        assert min(later_permutation, exponent_is_order, longer_block) >= 1000
 
 
 class TestVerifyWordAvoids:
@@ -308,8 +328,8 @@ class TestLongestAvoidingWord:
             config = SearchConfig.for_params(
                 alphabet=m, params=params, model=PermModel.ALL_PERMUTATIONS, length_cap=12
             )
-            pruned = longest_avoiding_word(config, prune=True, stop_at_cap=False)
-            unpruned = longest_avoiding_word(config, prune=False, stop_at_cap=False)
+            pruned = longest_avoiding_word(config, prune=True)
+            unpruned = longest_avoiding_word(config, prune=False)
             assert pruned.max_length_found == unpruned.max_length_found
             assert pruned.nodes_visited <= unpruned.nodes_visited
 
@@ -378,6 +398,9 @@ class TestConfigValidation:
     def test_fixed_exponents_positive(self):
         with pytest.raises(ValueError):
             SearchConfig(alphabet=2, forbidden=frozenset({"0000"}), exponents=(0, 1, 2))
+        for exponents in ((1, 2), (1, 2, 3, 4)):
+            with pytest.raises(ValueError, match="three exponents"):
+                SearchConfig(alphabet=2, forbidden=frozenset({"0000"}), exponents=exponents)
 
     def test_witness_json(self):
         witness = InstanceWitness(

@@ -16,6 +16,8 @@ from permavoid.verifier import (
 )
 from permavoid.words import Morphism, is_four_power_free, is_square_free, ternary_thue_prefix
 
+from oracles import oracle_suffix_witness, perm_powers
+
 
 class TestHAlphaConstruction:
     def test_first_image(self):
@@ -173,45 +175,16 @@ class TestVerifyPrefixAvoids:
         forbidden = forbidden_patterns(range(2, 15))
         config = SearchConfig(alphabet=5, forbidden=forbidden, model=PermModel.ALL_PERMUTATIONS)
 
-        def perm_powers(images):
-            powers = [tuple(range(5))]
-            while True:
-                nxt = tuple(images[a] for a in powers[-1])
-                if nxt == powers[0]:
-                    break
-                powers.append(nxt)
-            return powers
-
         tables = [perm_powers(f) for f in all_perms(range(5))]
         assert len(tables) == 120
-
-        def oracle(factor):
-            n = len(factor)
-            for b in range(1, n // 4 + 1):
-                s = n - 4 * b
-                blocks = [tuple(factor[s + l * b : s + (l + 1) * b]) for l in range(4)]
-                labels = {}
-                pattern = "".join(labels.setdefault(blk, str(len(labels))) for blk in blocks)
-                if pattern not in forbidden:
-                    continue
-                for powers in tables:
-                    order = len(powers)
-                    if all(
-                        any(
-                            tuple(powers[e % order][a] for a in blocks[0]) == v
-                            for e in range(1, order + 1)
-                        )
-                        for v in blocks[1:]
-                    ):
-                        return True
-            return False
 
         rng = random.Random(31337)
         for _ in range(400):
             b = rng.randint(1, 4)
             start = rng.randrange(0, len(word) - 4 * b)
             factor = word[start : start + 4 * b]
-            assert (suffix_instance(factor, config) is not None) == oracle(factor)
+            expected = oracle_suffix_witness(factor, tables, forbidden)
+            assert (suffix_instance(factor, config) is not None) == (expected is not None)
 
     def test_certificate_json(self):
         certificate = verify_prefix_avoids(

@@ -8,6 +8,8 @@ from permavoid.words import (
     TERNARY_THUE_MORPHISM,
     THUE_MORSE_MORPHISM,
     Word,
+    _overlap_free_scan,
+    _power_free_scan,
     is_cube_free,
     is_four_power_free,
     is_overlap_free,
@@ -191,15 +193,17 @@ class TestRepetitionCheckers:
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.integers(0, 2), max_size=60).map(bytes))
     def test_runs_method_matches_scan(self, word):
-        for checker in (is_square_free, is_cube_free, is_overlap_free, is_four_power_free):
-            assert checker(word, method="runs") == checker(word, method="scan")
+        assert is_square_free(word) == _power_free_scan(word, 2)
+        assert is_cube_free(word) == _power_free_scan(word, 3)
+        assert is_four_power_free(word) == _power_free_scan(word, 4)
+        assert is_overlap_free(word) == _overlap_free_scan(word)
 
     def test_methods_agree_on_classical_prefixes(self):
         tm = thue_morse_prefix(1500)
         tt = ternary_thue_prefix(1500)
-        assert is_overlap_free(tm, method="scan") and is_overlap_free(tm, method="runs")
-        assert is_cube_free(tm, method="scan") and is_cube_free(tm, method="runs")
-        assert is_square_free(tt, method="scan") and is_square_free(tt, method="runs")
+        assert _overlap_free_scan(tm.letters) and is_overlap_free(tm)
+        assert _power_free_scan(tm.letters, 3) and is_cube_free(tm)
+        assert _power_free_scan(tt.letters, 2) and is_square_free(tt)
 
 
 class TestWordType:
