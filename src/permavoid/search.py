@@ -18,6 +18,18 @@ Candidate letters are the letters already used plus one fresh letter, and
 the first letter is fixed to 0; this canonical-form pruning is sound because
 the forbidden relation is invariant under renaming the alphabet (all three
 permutation models are closed under conjugation).
+
+Every power of f is a bijection on letters, so in an instance each block is
+a relabelling of u: the last letter of a block recurs inside its block at the
+same distance in all four blocks, or in none of them.  The suffix check reads
+this off a previous-occurrence index, ``prev[t] = t - (last index before t
+holding w[t])``, or ``t + 1`` when there is none.  With ``p = prev[end - 1]``,
+block length b survives only if ``prev[end - 1 - k*b] == p`` for k = 1, 2, 3
+when ``p < b``, and only if each ``prev[end - 1 - k*b] >= b`` otherwise.  The
+splits it drops are not instances, and block lengths are still tried in
+ascending order, so witnesses and node counts are those of the unfiltered
+check; it runs before the blocks are sliced and saves most matcher calls.
+The search keeps ``prev`` in step with its word, one ``rfind`` per node.
 """
 
 from __future__ import annotations
@@ -268,11 +280,35 @@ def _match(
     return None
 
 
-def _suffix_witness(w: bytes, end: int, config: SearchConfig, compiled: _Compiled, max_block: int):
-    """Witness among block splits of suffixes of w[:end], or None."""
+def _prev_index(w: bytes) -> list[int]:
+    """``prev[t]``: t minus the last index before t holding w[t], or t + 1 when none does."""
+    seen = {}
+    prev = []
+    for t, c in enumerate(w):
+        prev.append(t - seen.get(c, -1))
+        seen[c] = t
+    return prev
+
+
+def _suffix_witness(
+    w: bytes, prev: list[int], end: int, config: SearchConfig, compiled: _Compiled, max_block: int
+):
+    """Witness among block splits of suffixes of w[:end], or None.
+
+    ``prev`` is the previous-occurrence index of w (at least its first
+    ``end`` entries); splits whose blocks' last letters recur at different
+    distances inside their blocks are skipped unsliced.
+    """
     forbidden = config.forbidden
     top = min(end // 4, max_block)
+    last = end - 1
+    p = prev[last] if end else 0  # the empty word has no splits
     for b in range(1, top + 1):
+        if p < b:
+            if prev[last - b] != p or prev[last - 2 * b] != p or prev[last - 3 * b] != p:
+                continue
+        elif prev[last - b] < b or prev[last - 2 * b] < b or prev[last - 3 * b] < b:
+            continue
         s = end - 4 * b
         u = w[s : s + b]
         v1 = w[s + b : s + 2 * b]
@@ -299,7 +335,7 @@ def suffix_instance(word: WordLike, config: SearchConfig) -> InstanceWitness | N
     """First forbidden instance that is a suffix of the word, over all block lengths."""
     w = as_letters(word)
     compiled = _compiled(config.model, config.alphabet)
-    return _suffix_witness(w, len(w), config, compiled, len(w))
+    return _suffix_witness(w, _prev_index(w), len(w), config, compiled, len(w))
 
 
 def verify_word_avoids(
@@ -312,9 +348,10 @@ def verify_word_avoids(
     """
     w = as_letters(word)
     compiled = _compiled(config.model, config.alphabet)
+    prev = _prev_index(w)
     limit = max_block if max_block is not None else len(w)
     for end in range(4, len(w) + 1):
-        witness = _suffix_witness(w, end, config, compiled, limit)
+        witness = _suffix_witness(w, prev, end, config, compiled, limit)
         if witness is not None:
             return witness
     return None
@@ -333,6 +370,7 @@ def longest_avoiding_word(config: SearchConfig, prune: bool = True) -> SearchRes
     cap = config.length_cap
     budget = config.node_budget
     w = bytearray()
+    prev: list[int] = []
     best = b""
     nodes = 0
     budget_hit = False
@@ -346,6 +384,7 @@ def longest_avoiding_word(config: SearchConfig, prune: bool = True) -> SearchRes
         depth = len(next_letter) - 1
         if len(w) > depth:
             w.pop()
+            prev.pop()
         c = next_letter[depth]
         limit = m if not prune else min(m, high[depth] + 2)
         if c >= limit:
@@ -359,8 +398,9 @@ def longest_avoiding_word(config: SearchConfig, prune: bool = True) -> SearchRes
             break
         if nodes % _PROGRESS_EVERY == 0:
             logger.debug("search: %d nodes, depth %d, best %d", nodes, depth, len(best))
+        prev.append(len(w) - w.rfind(c))  # rfind gives -1 when c is new
         w.append(c)
-        if _suffix_witness(bytes(w), len(w), config, compiled, len(w)) is not None:
+        if _suffix_witness(bytes(w), prev, len(w), config, compiled, len(w)) is not None:
             continue
         if len(w) > len(best):
             best = bytes(w)

@@ -53,3 +53,40 @@ def oracle_suffix_witness(w, tables, forbidden, exponents=None):
             if None not in found:
                 return s, b, index, found
     return None
+
+
+def oracle_longest_avoiding_word(m, tables, forbidden, exponents, cap, budget, prune):
+    """Depth-first search for a longest word avoiding every suffix instance.
+
+    Follows the library's order and counting: letters ascend; with ``prune``
+    a letter is at most one more than the largest letter before it (so the
+    first is 0); every letter tried is a node; the search stops when the node
+    count passes ``budget`` or when a word reaches ``cap``.  Each word is
+    checked with ``oracle_suffix_witness``.  Returns (longest length, the
+    first longest word as a tuple, exhausted, nodes).
+    """
+    nodes = 0
+    best = ()
+    stopped = False
+
+    def grow(w, high):
+        nonlocal nodes, best, stopped
+        for c in range(min(m, high + 2) if prune else m):
+            nodes += 1
+            if nodes > budget:
+                stopped = True
+                return
+            w.append(c)
+            if oracle_suffix_witness(w, tables, forbidden, exponents) is None:
+                if len(w) > len(best):
+                    best = tuple(w)
+                if len(w) >= cap:
+                    stopped = True
+                    return
+                grow(w, max(high, c))
+                if stopped:
+                    return
+            w.pop()
+
+    grow([], -1)
+    return len(best), best, not stopped, nodes

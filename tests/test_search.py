@@ -1,9 +1,11 @@
 import random
+from collections import Counter
 from itertools import permutations
 from math import factorial
 
 import pytest
 
+import permavoid.search as search_module
 from permavoid.alphas import ALL_PATTERNS, canonical_pattern
 from permavoid.search import (
     InstanceWitness,
@@ -17,7 +19,7 @@ from permavoid.search import (
 )
 from permavoid.words import Permutation, Word
 
-from oracles import oracle_suffix_witness, perm_powers
+from oracles import oracle_longest_avoiding_word, oracle_suffix_witness, perm_powers
 
 
 POWER_TABLES = {m: [perm_powers(f) for f in permutations(range(m))] for m in (2, 3, 4)}
@@ -235,6 +237,88 @@ class TestSuffixInstance:
                     assert hits >= 50
         assert min(later_permutation, exponent_is_order, longer_block) >= 1000
 
+    def test_last_letter_boundary_words(self):
+        # planted suffixes u f^e1(u) f^e2(u) f^e3(u) whose last letter recurs
+        # exactly at the block start (distance b - 1) or just before the last
+        # block (distance b): the edges of the last-letter relabelling filter
+        rng = random.Random(3141)
+        edges = Counter()
+        for model in PermModel:
+            for m in (3, 4):
+                perms = model_permutations(model, m)
+                tables = [perm_powers(p.images) for p in perms]
+                for exponents in (None, (1, 2, 3), (2, 4, 4), (3, 1, 1)):
+                    forbidden = frozenset(ALL_PATTERNS)
+                    config = SearchConfig(
+                        alphabet=m, forbidden=forbidden, model=model, exponents=exponents
+                    )
+                    for _ in range(150):
+                        b = rng.randint(1, 5)
+                        x = rng.randrange(m)
+                        others = [a for a in range(m) if a != x]
+                        if b >= 2 and rng.random() < 0.5:
+                            inner = [rng.randrange(m) for _ in range(b - 2)]
+                            u = bytes([x, *inner, x])
+                        else:
+                            u = bytes([*(rng.choice(others) for _ in range(b - 1)), x])
+                        f = rng.choice(perms)
+                        powers = exponents or [rng.randint(1, 2 * f.order) for _ in range(3)]
+                        blocks = [u] + [f.power(e).apply_letters(u) for e in powers]
+                        w = bytes(rng.randrange(m) for _ in range(rng.randint(0, 4)))
+                        w += b"".join(blocks)
+                        p = next((d for d in range(1, len(w)) if w[-1 - d] == w[-1]), len(w))
+                        expected = oracle_suffix_witness(w, tables, forbidden, exponents)
+                        got = suffix_instance(w, config)
+                        assert got is not None and expected is not None
+                        assert (got.start, got.block_length) == expected[:2]
+                        if expected[1] == b and p in (b - 1, b):
+                            edges[p - b] += 1
+        assert edges[-1] >= 200 and edges[0] >= 200
+
+    def test_relabelling_filter_is_exact(self, monkeypatch):
+        # the matcher sees exactly the splits whose pattern is forbidden and
+        # whose four blocks' last letters recur at one distance inside their
+        # blocks, or in none of them; others are skipped without a call
+        calls = []
+
+        def record(compiled, u, v1, v2, v3, exponents):
+            calls.append((u, v1, v2, v3))  # and no match, so every block length is tried
+
+        monkeypatch.setattr(search_module, "_match", record)
+
+        def last_gap(block):
+            return next((d for d in range(1, len(block)) if block[-1 - d] == block[-1]), None)
+
+        rng = random.Random(2718)
+        passed = skipped = 0
+        for _ in range(3000):
+            m = rng.choice((2, 3, 4))
+            w = bytes(rng.randrange(m) for _ in range(rng.randint(0, 8)))
+            if rng.random() < 0.5:
+                # a suffix of four relabelled copies of a block, one letter maybe changed
+                u = bytes(rng.randrange(m) for _ in range(rng.randint(1, 6)))
+                copies = [bytes(rng.sample(range(m), m)[a] for a in u) for _ in range(3)]
+                w += u + b"".join(copies)
+                if rng.random() < 0.5:
+                    t = rng.randrange(len(w))
+                    w = w[:t] + bytes([rng.randrange(m)]) + w[t + 1 :]
+            forbidden = frozenset(rng.sample(ALL_PATTERNS, rng.randint(1, 15)))
+            calls.clear()
+            assert suffix_instance(w, SearchConfig(alphabet=m, forbidden=forbidden)) is None
+            n = len(w)
+            expected = []
+            for b in range(1, n // 4 + 1):
+                blocks = tuple(w[n - (4 - l) * b : n - (3 - l) * b] for l in range(4))
+                if canonical_pattern(blocks) not in forbidden:
+                    continue
+                if len({last_gap(block) for block in blocks}) == 1:
+                    expected.append(blocks)
+                    passed += b > 1
+                else:
+                    skipped += 1
+            assert calls == expected
+        assert passed >= 200 and skipped >= 2000
+
 
 class TestVerifyWordAvoids:
     def test_empty_word(self):
@@ -321,17 +405,80 @@ class TestLongestAvoidingWord:
         assert len(result.witness_word) == result.max_length_found
 
     def test_pruned_matches_unpruned(self):
+        # seeded ternary cases, drawn until five exhaust below the cap: a case
+        # where both runs reach the cap would agree whatever pruning drops
         rng = random.Random(2024)
-        for _ in range(5):
-            m = rng.choice((2, 3))
-            params = rng.sample(range(1, 15), rng.randint(2, 5))
+        compared = draws = 0
+        while compared < 5:
+            draws += 1
+            assert draws <= 50
+            params = rng.sample(range(1, 15), rng.randint(3, 7))
             config = SearchConfig.for_params(
-                alphabet=m, params=params, model=PermModel.ALL_PERMUTATIONS, length_cap=12
+                alphabet=3, params=params, model=PermModel.ALL_PERMUTATIONS, length_cap=30
             )
             pruned = longest_avoiding_word(config, prune=True)
             unpruned = longest_avoiding_word(config, prune=False)
+            if pruned.max_length_found == unpruned.max_length_found == 30:
+                continue
+            compared += 1
+            assert pruned.exhausted and unpruned.exhausted
             assert pruned.max_length_found == unpruned.max_length_found
-            assert pruned.nodes_visited <= unpruned.nodes_visited
+            # the first longest word in DFS order is the least one, which is canonical
+            assert pruned.witness_word == unpruned.witness_word
+            assert verify_word_avoids(pruned.witness_word, config) is None
+            assert pruned.nodes_visited < unpruned.nodes_visited
+
+    def test_matches_oracle_search(self):
+        # the whole result, node count included, equals that of a DFS in the
+        # same order over the definitional suffix check
+        rng = random.Random(6174)
+        ends = Counter()
+        for m in (2, 3, 4):
+            for model in PermModel:
+                if model is PermModel.FIX_ONE_POINT_CYCLE and m < 3:
+                    continue
+                tables = [perm_powers(p.images) for p in model_permutations(model, m)]
+                for exponents in (None, (1, 2, 3), (2, 5, 7)):
+                    for prune in (True, False) * 4:
+                        params = rng.sample(range(1, 15), rng.randint(3, 14))
+                        config = SearchConfig.for_params(
+                            alphabet=m,
+                            params=params,
+                            model=model,
+                            exponents=exponents,
+                            length_cap=rng.randint(8, 30),
+                            node_budget=int(10 ** rng.uniform(0.7, 3.3)),
+                        )
+                        length, best, exhausted, nodes = oracle_longest_avoiding_word(
+                            m, tables, config.forbidden, exponents,
+                            config.length_cap, config.node_budget, prune,
+                        )
+                        got = longest_avoiding_word(config, prune=prune)
+                        assert got.as_json() == {
+                            "max_length_found": length,
+                            "witness_word": Word(bytes(best), m).text(),
+                            "exhausted": exhausted,
+                            "nodes_visited": nodes,
+                        }
+                        if exhausted:
+                            ends["exhausted"] += 1
+                        else:
+                            ends["cap" if length == config.length_cap else "budget"] += 1
+        assert min(ends["exhausted"], ends["cap"], ends["budget"]) >= 20
+
+    def test_search36_pinned(self):
+        # the family-1 search: any block split wrongly skipped or kept would
+        # change the tree, and so the node count
+        config = SearchConfig.for_params(
+            alphabet=4, params={1, 2, 4, 6, 7}, model=PermModel.FULL_CYCLE, length_cap=40
+        )
+        result = longest_avoiding_word(config)
+        assert result.as_json() == {
+            "max_length_found": 36,
+            "witness_word": "010210210210011002211002211002211000",
+            "exhausted": True,
+            "nodes_visited": 43_810,
+        }
 
     def test_monotone_in_forbidden_set(self):
         # every pattern forbidden for {10, 11} is forbidden for {10, 11, 12, 13},
