@@ -19,7 +19,6 @@ from .alphas import (
     alpha_value,
     canonical_pattern,
     is_swapped_form,
-    models,
     profile,
     realizable,
     representation,
@@ -45,12 +44,9 @@ from .search import (
 from .verifier import (
     AvoidanceCertificate,
     MorphicWordSpec,
-    builtin_spec,
     h_alpha_spec,
     load_spec,
     max_gap_without_full_image,
-    ternary_thue_spec,
-    thue_morse_spec,
     verify_prefix_avoids,
 )
 from .words import (
@@ -61,8 +57,6 @@ from .words import (
     is_four_power_free,
     is_overlap_free,
     is_square_free,
-    ternary_thue_prefix,
-    thue_morse_prefix,
 )
 
 __all__ = [
@@ -75,7 +69,6 @@ __all__ = [
     "alpha_value",
     "canonical_pattern",
     "is_swapped_form",
-    "models",
     "profile",
     "realizable",
     "representation",
@@ -95,12 +88,9 @@ __all__ = [
     "verify_word_avoids",
     "AvoidanceCertificate",
     "MorphicWordSpec",
-    "builtin_spec",
     "h_alpha_spec",
     "load_spec",
     "max_gap_without_full_image",
-    "ternary_thue_spec",
-    "thue_morse_spec",
     "verify_prefix_avoids",
     "Morphism",
     "Permutation",
@@ -109,6 +99,4 @@ __all__ = [
     "is_four_power_free",
     "is_overlap_free",
     "is_square_free",
-    "ternary_thue_prefix",
-    "thue_morse_prefix",
 ]

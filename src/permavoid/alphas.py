@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Hashable, Sequence
 
-from .words import WordLike, as_letters
 
 __all__ = [
     "INFINITY",
@@ -50,7 +49,6 @@ __all__ = [
     "alpha_scan_bound",
     "profile",
     "realizable",
-    "models",
     "is_swapped_form",
     "has_prefix_square",
     "has_suffix_square",
@@ -281,15 +279,6 @@ def realizable(a: int, e, m: int) -> bool:
     if m < 2:
         raise ValueError("alphabet size must be at least 2")
     return alpha_value(a, e) <= m
-
-
-def models(u: WordLike, v1: WordLike, v2: WordLike, v3: WordLike, pattern: str) -> bool:
-    """True iff block equalities match digit equalities exactly, both ways."""
-    _require_canonical(pattern)
-    blocks = tuple(as_letters(w) for w in (u, v1, v2, v3))
-    if len({len(b) for b in blocks}) != 1:
-        raise ValueError("all four blocks must have the same length")
-    return blocks_pattern(*blocks) == pattern
 
 
 def is_swapped_form(p1: str, p2: str) -> bool:

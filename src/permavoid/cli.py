@@ -59,12 +59,6 @@ def _add_instance_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--format", choices=["json", "text"], default="json", help="output format"
-    )
-
-
 def _parse_params(raw: str) -> tuple[int, ...]:
     try:
         params = tuple(sorted({int(part) for part in raw.split(",") if part.strip()}))
@@ -80,33 +74,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"permavoid {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    alphas_cmd = sub.add_parser("alphas", help="the 14 alpha values and representations")
-    _add_exponents(alphas_cmd)
-    _add_common(alphas_cmd)
-
-    sigma_cmd = sub.add_parser("sigma", help="min-max bound over the unavoidable families")
-    _add_exponents(sigma_cmd)
-    _add_common(sigma_cmd)
-
-    classify_cmd = sub.add_parser("classify", help="avoidable/unavoidable alphabet ranges")
-    _add_exponents(classify_cmd)
-    _add_common(classify_cmd)
+    _add_exponents(sub.add_parser("alphas", help="the 14 alpha values and representations"))
+    _add_exponents(sub.add_parser("sigma", help="min-max bound over the unavoidable families"))
+    _add_exponents(sub.add_parser("classify", help="avoidable/unavoidable alphabet ranges"))
 
     families_cmd = sub.add_parser("families", help="dump the family enumerations")
     families_cmd.add_argument("--family", type=int, default=None, help="restrict to one family")
     _add_exponents(families_cmd, required=False)
-    _add_common(families_cmd)
 
     search_cmd = sub.add_parser("search", help="longest word avoiding a parameter set")
     _add_instance_options(search_cmd)
     search_cmd.add_argument("--cap", type=int, default=400, help="length cap")
     search_cmd.add_argument("--budget", type=int, default=100_000_000, help="node budget")
-    _add_common(search_cmd)
 
     verify_word_cmd = sub.add_parser("verify-word", help="check one word against a parameter set")
     verify_word_cmd.add_argument("--word", type=str, required=True, help="digit string")
     _add_instance_options(verify_word_cmd)
-    _add_common(verify_word_cmd)
 
     verify_morphic_cmd = sub.add_parser(
         "verify-morphic", help="bounded avoidance certificate for a morphic word prefix"
@@ -124,19 +107,12 @@ def build_parser() -> argparse.ArgumentParser:
     verify_morphic_cmd.add_argument(
         "--max-positions", type=int, default=None, help="cap on examined factor end positions"
     )
-    _add_common(verify_morphic_cmd)
 
     return parser
 
 
 def _config_echo(args: argparse.Namespace) -> dict:
-    skip = {"command", "format"}
-    out = {}
-    for key, value in sorted(vars(args).items()):
-        if key in skip:
-            continue
-        out[key] = value
-    return out
+    return {key: value for key, value in sorted(vars(args).items()) if key != "command"}
 
 
 def _exponents_from(args: argparse.Namespace) -> PatternExponents:
@@ -244,12 +220,6 @@ _HANDLERS = {
 }
 
 
-def _render_text(report: dict) -> str:
-    lines = [f"permavoid {report['version']} - {report['command']}"]
-    lines.append(json.dumps(report["result"], indent=2, sort_keys=True))
-    return "\n".join(lines)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -273,10 +243,7 @@ def main(argv: list[str] | None = None) -> int:
         "elapsed_seconds": round(elapsed, 6),
         "result": result,
     }
-    if args.format == "text":
-        print(_render_text(report))
-    else:
-        print(json.dumps(report, indent=2, sort_keys=True))
+    print(json.dumps(report, indent=2, sort_keys=True))
     return code
 
 

@@ -344,8 +344,11 @@ def verify_word_avoids(
     """First forbidden instance anywhere in the word, or None if it avoids them all.
 
     Scans suffixes of every prefix in increasing length, so the result agrees
-    with running :func:`suffix_instance` on each prefix in turn.
+    with running :func:`suffix_instance` on each prefix in turn.  ``max_block``
+    bounds the block length and must be positive.
     """
+    if max_block is not None and max_block < 1:
+        raise ValueError(f"max_block must be positive, got {max_block}")
     w = as_letters(word)
     compiled = _compiled(config.model, config.alphabet)
     prev = _prev_index(w)
@@ -357,13 +360,15 @@ def verify_word_avoids(
     return None
 
 
-def longest_avoiding_word(config: SearchConfig, prune: bool = True) -> SearchResult:
+def longest_avoiding_word(config: SearchConfig) -> SearchResult:
     """Depth-first backtracking for the longest word avoiding the forbidden set.
 
-    Returns exhausted=True only when the whole (pruned) tree was explored
-    below the length cap within the node budget.  The search stops at the
-    first word that reaches the cap: words of at least that length exist,
-    which leaves longer words undecided, so such runs report exhausted=False.
+    Grows only canonical words, whose first letter is 0 and whose fresh
+    letters ascend (see the module docstring).  Returns exhausted=True only
+    when that tree was explored below the length cap within the node budget.
+    The search stops at the first word that reaches the cap: words of at
+    least that length exist, which leaves longer words undecided, so such
+    runs report exhausted=False.
     """
     m = config.alphabet
     compiled = _compiled(config.model, m)
@@ -386,8 +391,7 @@ def longest_avoiding_word(config: SearchConfig, prune: bool = True) -> SearchRes
             w.pop()
             prev.pop()
         c = next_letter[depth]
-        limit = m if not prune else min(m, high[depth] + 2)
-        if c >= limit:
+        if c >= m or c > high[depth] + 1:
             next_letter.pop()
             high.pop()
             continue

@@ -30,9 +30,6 @@ __all__ = [
     "AvoidanceCertificate",
     "H_ALPHA_CODING",
     "h_alpha_spec",
-    "thue_morse_spec",
-    "ternary_thue_spec",
-    "builtin_spec",
     "load_spec",
     "max_gap_without_full_image",
     "verify_prefix_avoids",
@@ -110,38 +107,27 @@ class MorphicWordSpec:
         return out
 
 
-def thue_morse_spec() -> MorphicWordSpec:
-    return MorphicWordSpec(THUE_MORSE_MORPHISM, 0, name="thue-morse")
-
-
-def ternary_thue_spec() -> MorphicWordSpec:
-    return MorphicWordSpec(TERNARY_THUE_MORPHISM, 0, name="ternary-thue")
-
-
-def h_alpha_spec() -> MorphicWordSpec:
-    return MorphicWordSpec(TERNARY_THUE_MORPHISM, 0, coding=H_ALPHA_CODING, name="h-alpha")
-
-
 _BUILTINS = {
-    "thue-morse": thue_morse_spec,
-    "ternary-thue": ternary_thue_spec,
-    "h-alpha": h_alpha_spec,
+    spec.name: spec
+    for spec in (
+        MorphicWordSpec(THUE_MORSE_MORPHISM, 0, name="thue-morse"),
+        MorphicWordSpec(TERNARY_THUE_MORPHISM, 0, name="ternary-thue"),
+        MorphicWordSpec(TERNARY_THUE_MORPHISM, 0, coding=H_ALPHA_CODING, name="h-alpha"),
+    )
 }
 
 
-def builtin_spec(name: str) -> MorphicWordSpec:
-    try:
-        return _BUILTINS[name]()
-    except KeyError:
-        raise ValueError(
-            f"unknown builtin spec {name!r}; available: {', '.join(sorted(_BUILTINS))}"
-        ) from None
+def h_alpha_spec() -> MorphicWordSpec:
+    return _BUILTINS["h-alpha"]
 
 
 def load_spec(source: str | Path) -> MorphicWordSpec:
-    """A builtin spec by name, or a spec parsed from a JSON file."""
+    """A builtin spec by name, or a spec parsed from a JSON file.
+
+    The builtin names are thue-morse, ternary-thue and h-alpha.
+    """
     if isinstance(source, str) and source in _BUILTINS:
-        return builtin_spec(source)
+        return _BUILTINS[source]
     path = Path(source)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
@@ -157,11 +143,16 @@ def load_spec(source: str | Path) -> MorphicWordSpec:
     for key in ("base", "coding"):
         if not isinstance(data.get(key, {}), dict):
             raise ValueError(f"spec file {path}: {key!r} must be a JSON object")
+    for key in ("seed", "base_alphabet", "target_alphabet"):
+        if key in data and type(data[key]) is not int:  # bool is an int subclass
+            raise ValueError(
+                f"spec file {path}: {key!r} must be an integer, got {json.dumps(data[key])}"
+            )
     base = Morphism.from_json_dict(data["base"], data.get("base_alphabet"))
     coding = None
     if "coding" in data:
         coding = Morphism.from_json_dict(data["coding"], data.get("target_alphabet"))
-    return MorphicWordSpec(base, int(data["seed"]), coding, data.get("name"))
+    return MorphicWordSpec(base, data["seed"], coding, data.get("name"))
 
 
 def max_gap_without_full_image(spec: MorphicWordSpec, length: int) -> int:

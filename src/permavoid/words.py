@@ -12,7 +12,6 @@ without coordination.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -26,8 +25,6 @@ __all__ = [
     "Morphism",
     "THUE_MORSE_MORPHISM",
     "TERNARY_THUE_MORPHISM",
-    "thue_morse_prefix",
-    "ternary_thue_prefix",
     "as_letters",
     "is_square_free",
     "is_cube_free",
@@ -36,6 +33,8 @@ __all__ = [
 ]
 
 MAX_ALPHABET = 256
+#: Largest permutation order :meth:`Permutation.power_tables` builds tables for.
+_MAX_ORDER = 10_000
 TEXT_ALPHABET_MAX = 10
 
 WordLike = Union["Word", bytes, bytearray, str, Sequence[int]]
@@ -107,19 +106,20 @@ class Word:
             return Word(self.letters[index], self.alphabet)
         return self.letters[index]
 
-    def __add__(self, other: "Word") -> "Word":
-        if other.alphabet != self.alphabet:
-            raise ValueError("cannot concatenate words over different alphabets")
-        return Word(self.letters + other.letters, self.alphabet)
-
     def __repr__(self) -> str:
         return f"Word({self.text()!r}, alphabet={self.alphabet})"
 
 
 class Permutation:
-    """A bijection on {0, ..., m-1}, extended letterwise to words."""
+    """A bijection on {0, ..., m-1}, applied to words letterwise.
 
-    __slots__ = ("images", "_order", "_power_images", "_tables")
+    ``images[a]`` is the image of letter ``a``.  Words are mapped by
+    translating their bytes through :meth:`power_tables`, which lists every
+    power f^0 .. f^(order-1).  The search builds only model permutations
+    (m <= 9, order <= 20); orders above ``_MAX_ORDER`` are rejected.
+    """
+
+    __slots__ = ("images", "_tables")
 
     def __init__(self, images: Iterable[int]):
         imgs = tuple(int(a) for a in images)
@@ -128,13 +128,7 @@ class Permutation:
         if len(imgs) > MAX_ALPHABET:
             raise ValueError("alphabet too large")
         self.images = imgs
-        self._order: int | None = None
-        self._power_images: list[tuple[int, ...]] | None = None
         self._tables: tuple[bytes, ...] | None = None
-
-    @staticmethod
-    def identity(m: int) -> "Permutation":
-        return Permutation(range(m))
 
     @classmethod
     def from_cycles(cls, cycles: Sequence[Sequence[int]], m: int) -> "Permutation":
@@ -145,88 +139,27 @@ class Permutation:
         return cls(images)
 
     @property
-    def degree(self) -> int:
-        return len(self.images)
-
-    def cycles(self) -> tuple[tuple[int, ...], ...]:
-        """Cycle decomposition, including fixed points as 1-cycles."""
-        seen: set[int] = set()
-        out = []
-        for start in range(self.degree):
-            if start in seen:
-                continue
-            cycle = [start]
-            seen.add(start)
-            nxt = self.images[start]
-            while nxt != start:
-                cycle.append(nxt)
-                seen.add(nxt)
-                nxt = self.images[nxt]
-            out.append(tuple(cycle))
-        return tuple(out)
-
-    @property
     def order(self) -> int:
         """Least n > 0 with the n-th power equal to the identity."""
-        if self._order is None:
-            self._order = math.lcm(*(len(c) for c in self.cycles())) if self.degree else 1
-        return self._order
-
-    def letter_order(self, a: int) -> int:
-        """Orbit length of letter ``a``: least n > 0 with f^n(a) = a."""
-        if not 0 <= a < self.degree:
-            raise ValueError(f"letter {a} outside alphabet of size {self.degree}")
-        n = 1
-        b = self.images[a]
-        while b != a:
-            b = self.images[b]
-            n += 1
-        return n
-
-    def power_images(self) -> list[tuple[int, ...]]:
-        """Image tuples of f^0, f^1, ..., f^(order-1)."""
-        if self._power_images is None:
-            powers = [tuple(range(self.degree))]
-            for _ in range(self.order - 1):
-                prev = powers[-1]
-                powers.append(tuple(self.images[a] for a in prev))
-            self._power_images = powers
-        return self._power_images
+        return len(self.power_tables())
 
     def power_tables(self) -> tuple[bytes, ...]:
-        """256-byte translation tables for f^0 ... f^(order-1)."""
+        """256-byte translation tables for f^0 ... f^(order-1).
+
+        Composes the one-step table with itself until the identity returns.
+        """
         if self._tables is None:
-            tables = []
-            for imgs in self.power_images():
-                table = bytearray(range(256))
-                for a, b in enumerate(imgs):
-                    table[a] = b
-                tables.append(bytes(table))
+            identity = bytes(range(256))
+            step = bytes(self.images) + identity[len(self.images) :]
+            tables = [identity]
+            table = step
+            while table != identity:
+                if len(tables) == _MAX_ORDER:
+                    raise ValueError(f"permutation order exceeds {_MAX_ORDER:,}")
+                tables.append(table)
+                table = table.translate(step)
             self._tables = tuple(tables)
         return self._tables
-
-    def power(self, n: int) -> "Permutation":
-        """The n-th power; exponents are reduced mod the order, so huge n is cheap."""
-        if n < 0:
-            raise ValueError("exponent must be nonnegative")
-        return Permutation(self.power_images()[n % self.order])
-
-    def apply(self, word: Word) -> Word:
-        if word.alphabet != self.degree:
-            raise ValueError(
-                f"word alphabet {word.alphabet} does not match permutation degree {self.degree}"
-            )
-        return Word(word.letters.translate(self.power_tables()[1 % self.order]), word.alphabet)
-
-    def apply_letters(self, letters: bytes) -> bytes:
-        return letters.translate(self.power_tables()[1 % self.order])
-
-    def __call__(self, x):
-        if isinstance(x, int):
-            return self.images[x]
-        if isinstance(x, Word):
-            return self.apply(x)
-        return self.apply_letters(as_letters(x))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self.images == other.images
@@ -279,12 +212,6 @@ class Morphism:
             bad = next(a for a in letters if a >= self.source_alphabet)
             raise ValueError(f"letter {bad} undefined for this morphism") from None
 
-    def apply(self, word: WordLike) -> Word:
-        return Word(self.apply_letters(as_letters(word)), self.target_alphabet)
-
-    def __call__(self, word: WordLike) -> Word:
-        return self.apply(word)
-
     def is_prolongable(self, seed: int) -> bool:
         """True if image(seed) starts with seed and has length at least two."""
         img = self.image(seed)
@@ -332,16 +259,6 @@ class Morphism:
 
 THUE_MORSE_MORPHISM = Morphism({0: "01", 1: "10"})
 TERNARY_THUE_MORPHISM = Morphism({0: "012", 1: "02", 2: "1"})
-
-
-def thue_morse_prefix(length: int) -> Word:
-    """Prefix of the Thue-Morse word, the fixed point of 0 -> 01, 1 -> 10."""
-    return THUE_MORSE_MORPHISM.fixed_point_prefix(0, length)
-
-
-def ternary_thue_prefix(length: int) -> Word:
-    """Prefix of the ternary Thue word, the fixed point of 0 -> 012, 1 -> 02, 2 -> 1."""
-    return TERNARY_THUE_MORPHISM.fixed_point_prefix(0, length)
 
 
 # ---------------------------------------------------------------------------

@@ -28,14 +28,14 @@ from permavoid.search import (
 )
 from permavoid.verifier import (
     h_alpha_spec,
+    load_spec,
     max_gap_without_full_image,
     verify_prefix_avoids,
 )
 from permavoid.words import _overlap_free_scan, _power_free_scan
 from permavoid.words import is_cube_free, is_overlap_free, is_square_free
-from permavoid.words import ternary_thue_prefix, thue_morse_prefix
 
-from oracles import oracle_suffix_witness, perm_powers
+from oracles import oracle_longest_avoiding_word, oracle_suffix_witness, perm_powers
 
 PAPER_WITNESS = "010210210210033001133001133001133000"
 
@@ -168,8 +168,8 @@ def test_criterion_06_family_regression():
 
 
 def test_criterion_07_classical_words():
-    tm = thue_morse_prefix(10_000)
-    tt = ternary_thue_prefix(10_000)
+    tm = load_spec("thue-morse").generate(10_000)
+    tt = load_spec("ternary-thue").generate(10_000)
     checks = {
         "thue-morse cube-free": _power_free_scan(tm.letters, 3),
         "thue-morse overlap-free": _overlap_free_scan(tm.letters),
@@ -226,9 +226,11 @@ def test_criterion_09_small_set_avoidance_evidence():
 
 
 def test_criterion_10_symmetry_pruning_soundness():
+    # the canonical-form search against the oracle DFS over every word;
     # seeded cases are drawn until five exhaust below the cap; a case where
     # both runs reach the cap is skipped, as it agrees whatever pruning drops
     rng = random.Random(424242)
+    tables = {m: [perm_powers(f) for f in permutations(range(m))] for m in (2, 3)}
     agreed = True
     details = []
     draws = 0
@@ -242,17 +244,22 @@ def test_criterion_10_symmetry_pruning_soundness():
             model=PermModel.ALL_PERMUTATIONS,
             length_cap=30,
         )
-        pruned = longest_avoiding_word(config, prune=True)
-        unpruned = longest_avoiding_word(config, prune=False)
-        if pruned.max_length_found == unpruned.max_length_found == config.length_cap:
+        pruned = longest_avoiding_word(config)
+        length, best, exhausted, nodes = oracle_longest_avoiding_word(
+            m, tables[m], config.forbidden, None, config.length_cap, config.node_budget,
+            prune=False,
+        )
+        if pruned.max_length_found == length == config.length_cap:
             continue
-        details.append((m, sorted(params), pruned.max_length_found, unpruned.max_length_found))
+        details.append((m, sorted(params), pruned.max_length_found, length))
         agreed = (
             agreed
             and pruned.exhausted
-            and unpruned.exhausted
-            and pruned.max_length_found == unpruned.max_length_found
+            and exhausted
+            and pruned.max_length_found == length
+            and pruned.witness_word.letters == bytes(best)
             and verify_word_avoids(pruned.witness_word, config) is None
+            and pruned.nodes_visited < nodes
         )
     agreed = agreed and len(details) == 5
     report(10, "symmetry pruning soundness", agreed, f"draws={draws} cases={details}")

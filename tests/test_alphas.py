@@ -27,7 +27,6 @@ from permavoid.alphas import (
     has_two_squares,
     is_canonical_pattern,
     is_swapped_form,
-    models,
     profile,
     realizable,
     representation,
@@ -242,22 +241,17 @@ class TestSwappedForm:
 
 class TestModels:
     def test_examples(self):
-        assert models("01", "01", "23", "45", "0012") is True
-        assert models(b"\x00", b"\x01", b"\x00", b"\x01", "0101") is True
-        assert models("01", "01", "01", "45", "0012") is False
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            models("0", "01", "0", "0", "0000")
+        assert blocks_pattern(b"01", b"01", b"23", b"45") == "0012"
+        assert blocks_pattern(b"\x00", b"\x01", b"\x00", b"\x01") == "0101"
+        assert blocks_pattern(b"01", b"01", b"01", b"45") == "0001"
 
     @settings(max_examples=100)
     @given(st.lists(st.integers(0, 3), min_size=4, max_size=4), st.permutations(range(4)))
     def test_invariant_under_block_renaming(self, block_ids, relabel):
-        # blocks are words named by ids; renaming ids injectively preserves models
+        # blocks are words named by ids; renaming ids injectively keeps the pattern
         blocks = [bytes([b]) * 2 for b in block_ids]
         renamed = [bytes([relabel[b]]) * 2 for b in block_ids]
-        for pattern in ALL_PATTERNS:
-            assert models(*blocks, pattern) == models(*renamed, pattern)
+        assert blocks_pattern(*blocks) == blocks_pattern(*renamed) == canonical_pattern(block_ids)
 
     def test_blocks_pattern_matches_canonical(self):
         blocks = (b"ab", b"ab", b"cd", b"ab")

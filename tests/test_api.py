@@ -1,0 +1,92 @@
+"""The public surface: what the package exports, and what the benchmark uses."""
+
+import ast
+import importlib
+import inspect
+from pathlib import Path
+
+import pytest
+
+import permavoid
+from permavoid.cli import main
+
+MODULES = ["alphas", "families", "search", "verifier", "words"]
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+#: Names removed from the package: each job has one entry point left.
+DELETED_NAMES = {
+    "models",  # blocks_pattern
+    "builtin_spec",  # load_spec(name)
+    "thue_morse_spec",
+    "ternary_thue_spec",
+    "thue_morse_prefix",  # load_spec("thue-morse").generate
+    "ternary_thue_prefix",
+}
+
+DELETED_METHODS = {
+    "Word": ["__add__"],
+    "Morphism": ["apply", "__call__"],
+    "Permutation": [
+        "cycles",
+        "power_images",
+        "power",
+        "apply",
+        "apply_letters",
+        "__call__",
+        "letter_order",
+        "identity",
+        "degree",
+    ],
+}
+
+#: Attributes the benchmark reaches through library objects.
+PERFBENCH_ATTRIBUTES = [
+    ("Permutation", "power_tables"),
+    ("SearchConfig", "for_params"),
+    ("MorphicWordSpec", "generate"),
+    ("AvoidanceCertificate", "clean"),
+    ("Word", "text"),
+]
+
+
+@pytest.mark.parametrize("module", [None, *MODULES])
+def test_every_export_resolves(module):
+    mod = permavoid if module is None else importlib.import_module(f"permavoid.{module}")
+    for name in mod.__all__:
+        assert hasattr(mod, name), f"{mod.__name__}.{name}"
+    assert not DELETED_NAMES & set(mod.__all__)
+    assert not any(hasattr(mod, name) for name in DELETED_NAMES)
+
+
+def test_package_export_count():
+    assert len(permavoid.__all__) == 39
+
+
+def test_deleted_methods_are_gone(capsys):
+    for cls_name, methods in DELETED_METHODS.items():
+        cls = getattr(permavoid, cls_name)
+        for method in methods:
+            assert method not in vars(cls), f"{cls_name}.{method}"
+    assert list(inspect.signature(permavoid.longest_avoiding_word).parameters) == ["config"]
+    assert main(["alphas", "--i", "1", "--j", "2", "--k", "3", "--format", "text"]) == 64
+    assert "unrecognized arguments: --format" in capsys.readouterr().err
+
+
+def _perfbench_imports():
+    """(module, name) for every ``from permavoid... import name`` under perfbench/."""
+    found = set()
+    for path in PERFBENCH.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("permavoid"):
+                found.update((node.module, alias.name) for alias in node.names)
+    return found
+
+
+def test_perfbench_names_exist():
+    imports = _perfbench_imports()
+    assert ("permavoid", "h_alpha_spec") in imports
+    for module, name in imports:
+        assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+    for cls_name, attribute in PERFBENCH_ATTRIBUTES:
+        assert hasattr(getattr(permavoid, cls_name), attribute), f"{cls_name}.{attribute}"

@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
+import permavoid
 from permavoid.cli import main
 
 PAPER_WITNESS = "010210210210033001133001133001133000"
@@ -197,11 +202,25 @@ class TestDomainErrors:
 
     def test_malformed_spec_file(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
-        for document in ("[1, 2]", '{"base": "012", "seed": 0}', "{"):
+        base = '"base": {"0": "01", "1": "10"}'
+        documents = ("[1, 2]", '{"base": "012", "seed": 0}', "{")
+        # seeds and alphabet sizes must be JSON integers; true and 1.7 are not read as 1
+        documents += tuple(
+            "{" + base + ", " + field + "}"
+            for field in (
+                '"seed": null',
+                '"seed": [0]',
+                '"seed": 0, "base_alphabet": "x"',
+                '"seed": 1.7',
+                '"seed": true',
+            )
+        )
+        for document in documents:
             path.write_text(document, encoding="utf-8")
-            self.assert_one_line_error(
+            err = self.assert_one_line_error(
                 capsys, ["verify-morphic", "--spec", str(path), "--forbidden", "10"]
             )
+            assert "spec file" in err
 
     def test_exponent_above_cap(self, capsys):
         err = self.assert_one_line_error(
@@ -242,12 +261,30 @@ class TestCliContract:
         _, again = run_json(capsys, argv)
         assert again["result"] == report["result"]
 
-    def test_text_format(self, capsys):
-        code = main(["alphas", "--i", "1", "--j", "2", "--k", "3", "--format", "text"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert out.startswith("permavoid")
-
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
         assert "permavoid" in capsys.readouterr().out
+
+
+class TestModuleEntryPoint:
+    """``python -m permavoid`` in a child process, as the console script runs it."""
+
+    def run_module(self, *args):
+        src = str(Path(permavoid.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        return subprocess.run(
+            [sys.executable, "-m", "permavoid", *args],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+
+    def test_version(self):
+        done = self.run_module("--version")
+        assert done.returncode == 0
+        assert done.stdout.strip() == f"permavoid {permavoid.__version__}"
+
+    def test_classify(self):
+        done = self.run_module("classify", "--i", "3", "--j", "7", "--k", "6")
+        assert done.returncode == 0
+        report = json.loads(done.stdout)
+        assert report["command"] == "classify"
+        assert report["result"]["sigma"] == 7

@@ -125,10 +125,10 @@ class TestSuffixInstance:
             found += 1
             u, v1, v2, v3 = witness.blocks
             assert witness.factor() == w[witness.start : witness.start + 4 * witness.block_length]
-            perm = witness.permutation
+            powers = perm_powers(witness.permutation.images)
             for v, exponent in zip((v1, v2, v3), witness.exponents):
                 assert exponent >= 1
-                assert perm.power(exponent).apply_letters(u) == v
+                assert bytes(powers[exponent % len(powers)][a] for a in u) == v
             assert canonical_pattern(witness.blocks) == witness.pattern
             assert witness.pattern in config.forbidden
 
@@ -204,10 +204,10 @@ class TestSuffixInstance:
                         if rng.random() < 0.75:
                             # plant a suffix u f^e1(u) f^e2(u) f^e3(u), exponents
                             # up to twice the order, and usually forbid its pattern
-                            f = rng.choice(perms)
+                            f = rng.choice(tables)
                             u = bytes(rng.randrange(m) for _ in range(rng.randint(1, 4)))
-                            powers = exponents or [rng.randint(1, 2 * f.order) for _ in range(3)]
-                            suffix = [u] + [f.power(e).apply_letters(u) for e in powers]
+                            powers = exponents or [rng.randint(1, 2 * len(f)) for _ in range(3)]
+                            suffix = [u] + [bytes(f[e % len(f)][a] for a in u) for e in powers]
                             w += b"".join(suffix)
                             if rng.random() < 0.8:
                                 forbidden.add(canonical_pattern(suffix))
@@ -232,7 +232,7 @@ class TestSuffixInstance:
                             "pattern": canonical_pattern(blocks),
                         }
                         later_permutation += index > 0
-                        exponent_is_order += perms[index].order in found
+                        exponent_is_order += len(tables[index]) in found
                         longer_block += b > 1
                     assert hits >= 50
         assert min(later_permutation, exponent_is_order, longer_block) >= 1000
@@ -261,9 +261,9 @@ class TestSuffixInstance:
                             u = bytes([x, *inner, x])
                         else:
                             u = bytes([*(rng.choice(others) for _ in range(b - 1)), x])
-                        f = rng.choice(perms)
-                        powers = exponents or [rng.randint(1, 2 * f.order) for _ in range(3)]
-                        blocks = [u] + [f.power(e).apply_letters(u) for e in powers]
+                        f = rng.choice(tables)
+                        powers = exponents or [rng.randint(1, 2 * len(f)) for _ in range(3)]
+                        blocks = [u] + [bytes(f[e % len(f)][a] for a in u) for e in powers]
                         w = bytes(rng.randrange(m) for _ in range(rng.randint(0, 4)))
                         w += b"".join(blocks)
                         p = next((d for d in range(1, len(w)) if w[-1 - d] == w[-1]), len(w))
@@ -350,6 +350,13 @@ class TestVerifyWordAvoids:
         assert verify_word_avoids(w, config, max_block=1) is None
         assert verify_word_avoids(w, config, max_block=2) is not None
 
+    def test_nonpositive_block_bound_rejected(self):
+        # a bound below 1 would check no split at all and report "avoids"
+        config = SearchConfig(alphabet=2, forbidden=frozenset({"0000"}))
+        for max_block in (0, -1):
+            with pytest.raises(ValueError, match="max_block must be positive"):
+                verify_word_avoids("0000", config, max_block=max_block)
+
 
 class TestLongestAvoidingWord:
     def test_every_structure_forbidden_over_binary(self):
@@ -405,9 +412,11 @@ class TestLongestAvoidingWord:
         assert len(result.witness_word) == result.max_length_found
 
     def test_pruned_matches_unpruned(self):
+        # the canonical-form search against the oracle DFS over every word;
         # seeded ternary cases, drawn until five exhaust below the cap: a case
         # where both runs reach the cap would agree whatever pruning drops
         rng = random.Random(2024)
+        tables = [perm_powers(f) for f in permutations(range(3))]
         compared = draws = 0
         while compared < 5:
             draws += 1
@@ -416,17 +425,19 @@ class TestLongestAvoidingWord:
             config = SearchConfig.for_params(
                 alphabet=3, params=params, model=PermModel.ALL_PERMUTATIONS, length_cap=30
             )
-            pruned = longest_avoiding_word(config, prune=True)
-            unpruned = longest_avoiding_word(config, prune=False)
-            if pruned.max_length_found == unpruned.max_length_found == 30:
+            pruned = longest_avoiding_word(config)
+            length, best, exhausted, nodes = oracle_longest_avoiding_word(
+                3, tables, config.forbidden, None, 30, config.node_budget, prune=False
+            )
+            if pruned.max_length_found == length == 30:
                 continue
             compared += 1
-            assert pruned.exhausted and unpruned.exhausted
-            assert pruned.max_length_found == unpruned.max_length_found
+            assert pruned.exhausted and exhausted
+            assert pruned.max_length_found == length
             # the first longest word in DFS order is the least one, which is canonical
-            assert pruned.witness_word == unpruned.witness_word
+            assert pruned.witness_word == Word(bytes(best), 3)
             assert verify_word_avoids(pruned.witness_word, config) is None
-            assert pruned.nodes_visited < unpruned.nodes_visited
+            assert pruned.nodes_visited < nodes
 
     def test_matches_oracle_search(self):
         # the whole result, node count included, equals that of a DFS in the
@@ -439,7 +450,7 @@ class TestLongestAvoidingWord:
                     continue
                 tables = [perm_powers(p.images) for p in model_permutations(model, m)]
                 for exponents in (None, (1, 2, 3), (2, 5, 7)):
-                    for prune in (True, False) * 4:
+                    for _ in range(8):
                         params = rng.sample(range(1, 15), rng.randint(3, 14))
                         config = SearchConfig.for_params(
                             alphabet=m,
@@ -451,9 +462,9 @@ class TestLongestAvoidingWord:
                         )
                         length, best, exhausted, nodes = oracle_longest_avoiding_word(
                             m, tables, config.forbidden, exponents,
-                            config.length_cap, config.node_budget, prune,
+                            config.length_cap, config.node_budget, prune=True,
                         )
-                        got = longest_avoiding_word(config, prune=prune)
+                        got = longest_avoiding_word(config)
                         assert got.as_json() == {
                             "max_length_found": length,
                             "witness_word": Word(bytes(best), m).text(),

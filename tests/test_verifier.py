@@ -6,15 +6,17 @@ from permavoid.search import PermModel
 from permavoid.verifier import (
     H_ALPHA_CODING,
     MorphicWordSpec,
-    builtin_spec,
     h_alpha_spec,
     load_spec,
     max_gap_without_full_image,
-    ternary_thue_spec,
-    thue_morse_spec,
     verify_prefix_avoids,
 )
-from permavoid.words import Morphism, is_four_power_free, is_square_free, ternary_thue_prefix
+from permavoid.words import (
+    TERNARY_THUE_MORPHISM,
+    Morphism,
+    is_four_power_free,
+    is_square_free,
+)
 
 from oracles import oracle_suffix_witness, perm_powers
 
@@ -45,7 +47,7 @@ class TestHAlphaConstruction:
         decoded = bytes(
             inverse[word[pos : pos + 16]] for pos in range(0, len(word) - 15, 16)
         )
-        assert decoded == ternary_thue_prefix(len(decoded)).letters
+        assert decoded == TERNARY_THUE_MORPHISM.fixed_point_prefix(0, len(decoded)).letters
 
 
 class TestMaxGap:
@@ -69,7 +71,7 @@ class TestMaxGap:
 
     def test_requires_coding(self):
         with pytest.raises(ValueError):
-            max_gap_without_full_image(ternary_thue_spec(), 100)
+            max_gap_without_full_image(load_spec("ternary-thue"), 100)
 
 
 class TestVerifyPrefixAvoids:
@@ -77,7 +79,7 @@ class TestVerifyPrefixAvoids:
         # every forbidden representation here carries an adjacent equal pair,
         # which would be a square factor; the ternary Thue word has none
         certificate = verify_prefix_avoids(
-            ternary_thue_spec(),
+            load_spec("ternary-thue"),
             [6, 9, 10],
             PermModel.ALL_PERMUTATIONS,
             max_block_length=10,
@@ -103,7 +105,7 @@ class TestVerifyPrefixAvoids:
 
     def test_position_cap_gives_partial_status(self):
         certificate = verify_prefix_avoids(
-            ternary_thue_spec(),
+            load_spec("ternary-thue"),
             [6, 9, 10],
             PermModel.ALL_PERMUTATIONS,
             max_block_length=5,
@@ -118,7 +120,7 @@ class TestVerifyPrefixAvoids:
         # P + 3 letters is fully checked and one letter more is not
         def certify(length, max_positions):
             return verify_prefix_avoids(
-                ternary_thue_spec(), [6, 9, 10], PermModel.ALL_PERMUTATIONS,
+                load_spec("ternary-thue"), [6, 9, 10], PermModel.ALL_PERMUTATIONS,
                 max_block_length=5, prefix_length=length, max_positions=max_positions,
             )
 
@@ -152,12 +154,12 @@ class TestVerifyPrefixAvoids:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             verify_prefix_avoids(
-                ternary_thue_spec(), [0, 3], PermModel.ALL_PERMUTATIONS, 5, 100
+                load_spec("ternary-thue"), [0, 3], PermModel.ALL_PERMUTATIONS, 5, 100
             )
         for max_positions in (0, -5):
             with pytest.raises(ValueError, match="bounds must be positive"):
                 verify_prefix_avoids(
-                    ternary_thue_spec(), [3], PermModel.ALL_PERMUTATIONS, 5, 100,
+                    load_spec("ternary-thue"), [3], PermModel.ALL_PERMUTATIONS, 5, 100,
                     max_positions=max_positions,
                 )
 
@@ -188,7 +190,7 @@ class TestVerifyPrefixAvoids:
 
     def test_certificate_json(self):
         certificate = verify_prefix_avoids(
-            ternary_thue_spec(), [10], PermModel.FULL_CYCLE, 4, 120
+            load_spec("ternary-thue"), [10], PermModel.FULL_CYCLE, 4, 120
         )
         data = certificate.as_json()
         assert data["status"] == "clean"
@@ -199,7 +201,7 @@ class TestVerifyPrefixAvoids:
 
 class TestFourPowerCertificates:
     def test_thue_morse(self):
-        assert is_four_power_free(thue_morse_spec().generate(4000))
+        assert is_four_power_free(load_spec("thue-morse").generate(4000))
 
     def test_constant_word(self):
         spec = MorphicWordSpec(Morphism({0: "00"}), 0)
@@ -211,18 +213,20 @@ class TestFourPowerCertificates:
 
 class TestSpecs:
     def test_builtin_names(self):
-        assert builtin_spec("h-alpha").coding is not None
-        assert builtin_spec("thue-morse").coding is None
-        with pytest.raises(ValueError):
-            builtin_spec("nope")
+        assert load_spec("h-alpha") == h_alpha_spec()
+        assert load_spec("h-alpha").coding is not None
+        assert load_spec("thue-morse").coding is None
+        with pytest.raises(ValueError, match="spec file nope"):
+            load_spec("nope")
 
     def test_generate_matches_prefix_functions(self):
-        assert ternary_thue_spec().generate(200) == ternary_thue_prefix(200)
-        assert is_square_free(ternary_thue_spec().generate(400))
+        prefix = TERNARY_THUE_MORPHISM.fixed_point_prefix(0, 200)
+        assert load_spec("ternary-thue").generate(200) == prefix
+        assert is_square_free(load_spec("ternary-thue").generate(400))
 
     def test_target_alphabet(self):
         assert h_alpha_spec().target_alphabet == 5
-        assert thue_morse_spec().target_alphabet == 2
+        assert load_spec("thue-morse").target_alphabet == 2
 
     def test_non_prolongable_spec_rejected(self):
         with pytest.raises(ValueError):
@@ -243,4 +247,4 @@ class TestSpecs:
         assert loaded.generate(64) == h_alpha_spec().generate(64)
 
     def test_load_spec_builtin_name(self):
-        assert load_spec("ternary-thue").generate(20) == ternary_thue_prefix(20)
+        assert load_spec("ternary-thue").generate(9).text() == "012021012"

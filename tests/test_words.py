@@ -1,7 +1,10 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permavoid.search import PermModel, SearchConfig, suffix_instance
 from permavoid.words import (
     Morphism,
     Permutation,
@@ -14,109 +17,130 @@ from permavoid.words import (
     is_four_power_free,
     is_overlap_free,
     is_square_free,
-    ternary_thue_prefix,
-    thue_morse_prefix,
 )
 
+from oracles import perm_powers
 
-def naive_order(perm: Permutation) -> int:
-    """Oracle: iterate compositions until the identity returns."""
-    identity = tuple(range(perm.degree))
-    images = perm.images
-    current = images
-    n = 1
-    while current != identity:
-        current = tuple(images[a] for a in current)
-        n += 1
-    return n
-
+IDENTITY_TABLE = bytes(range(256))
 
 perms = st.permutations(range(7)).map(Permutation)
 
 
+def thue_morse_prefix(length: int) -> Word:
+    return THUE_MORSE_MORPHISM.fixed_point_prefix(0, length)
+
+
+def ternary_thue_prefix(length: int) -> Word:
+    return TERNARY_THUE_MORPHISM.fixed_point_prefix(0, length)
+
+
+def apply(perm: Permutation, text: str) -> str:
+    """f applied letterwise to a digit word, as the matcher applies it."""
+    word = Word.parse(text, alphabet=len(perm.images))
+    return Word(word.letters.translate(perm.power_tables()[1 % perm.order]), word.alphabet).text()
+
+
 class TestPermutation:
     def test_identity_order(self):
-        assert Permutation.identity(5).order == 1
+        assert Permutation(range(5)).order == 1
 
     def test_five_cycle_order(self):
         assert Permutation.from_cycles([(0, 1, 2, 3, 4)], 5).order == 5
 
     def test_two_three_cycle_order(self):
         perm = Permutation.from_cycles([(0, 1), (2, 3, 4)], 5)
-        assert naive_order(perm) == 6
+        assert len(perm_powers(perm.images)) == 6
         assert perm.order == 6
 
     def test_power_zero_is_identity(self):
         perm = Permutation.from_cycles([(0, 1, 2)], 3)
-        assert perm.power(0) == Permutation.identity(3)
+        assert perm.power_tables()[0] == IDENTITY_TABLE
 
     def test_power_of_cycle(self):
         perm = Permutation.from_cycles([(0, 1, 2)], 3)
-        assert perm.power(2).images == (2, 0, 1)
+        assert perm.power_tables()[2][:3] == bytes([2, 0, 1])
 
     def test_power_at_order_is_identity(self):
         perm = Permutation.from_cycles([(0, 1), (2, 3, 4)], 5)
-        assert perm.power(perm.order) == Permutation.identity(5)
+        tables = perm.power_tables()
+        assert tables[-1].translate(tables[1]) == IDENTITY_TABLE
 
     def test_huge_exponent_reduced(self):
-        perm = Permutation.from_cycles([(0, 1, 2)], 3)
-        assert perm.power(10**18) == perm.power(10**18 % 3)
+        # fixed-mode exponents are reduced mod the order: these are (1, 2, 1) mod 3
+        config = SearchConfig(
+            alphabet=3,
+            forbidden=frozenset({"0121", "0101"}),
+            model=PermModel.FULL_CYCLE,
+            exponents=(10**18, 10**18 + 1, 10**18 + 3),
+        )
+        witness = suffix_instance("0121", config)
+        assert witness is not None and witness.exponents == config.exponents
+        assert suffix_instance("0101", config) is None
 
     def test_letter_orders(self):
+        # the orbit length of each letter, read off the power tables
         perm = Permutation.from_cycles([(0, 1, 2)], 5)
-        assert perm.letter_order(0) == 3
-        assert perm.letter_order(4) == 1
-        assert Permutation.identity(4).letter_order(2) == 1
+        tables = perm.power_tables()
+        orbits = [next(n for n in range(1, 4) if tables[n % 3][a] == a) for a in range(5)]
+        assert orbits == [3, 3, 3, 1, 1]
 
     def test_not_a_bijection_rejected(self):
         with pytest.raises(ValueError):
             Permutation([0, 0, 1])
 
+    def test_order_above_cap_rejected(self):
+        # cycles of lengths 2, 3, 5, 7, 11 and 13 give order 30,030
+        lengths, start, cycles = (2, 3, 5, 7, 11, 13), 0, []
+        for n in lengths:
+            cycles.append(range(start, start + n))
+            start += n
+        with pytest.raises(ValueError, match="order exceeds"):
+            Permutation.from_cycles(cycles, start).power_tables()
+
     def test_apply_swap(self):
-        swap = Permutation([1, 0])
-        assert swap.apply(Word.parse("0110", alphabet=2)).text() == "1001"
+        assert apply(Permutation([1, 0]), "0110") == "1001"
 
     def test_apply_identity(self):
-        word = Word.parse("0102", alphabet=3)
-        assert Permutation.identity(3).apply(word) == word
+        assert apply(Permutation(range(3)), "0102") == "0102"
 
     def test_apply_cycle(self):
-        cycle = Permutation.from_cycles([(0, 1, 2)], 3)
-        assert cycle.apply(Word.parse("012", alphabet=3)).text() == "120"
-
-    def test_apply_alphabet_mismatch(self):
-        with pytest.raises(ValueError):
-            Permutation.identity(3).apply(Word.parse("012", alphabet=4))
+        assert apply(Permutation.from_cycles([(0, 1, 2)], 3), "012") == "120"
 
     @settings(max_examples=60)
     @given(perms, st.integers(0, 60), st.integers(0, 60))
     def test_power_additivity(self, perm, a, b):
-        assert perm.power(a + b) == Permutation(
-            tuple(perm.power(a).images[x] for x in perm.power(b).images)
-        )
+        tables, order = perm.power_tables(), perm.order
+        assert tables[(a + b) % order] == tables[a % order].translate(tables[b % order])
 
     @settings(max_examples=60)
     @given(perms)
     def test_order_is_lcm_of_letter_orders(self, perm):
-        import math
-
-        assert perm.order == math.lcm(*(perm.letter_order(a) for a in range(perm.degree)))
+        # the tables are the oracle's powers, each extended by the identity
+        powers = perm_powers(perm.images)
+        assert perm.power_tables() == tuple(bytes(p) + IDENTITY_TABLE[7:] for p in powers)
+        orbits = []
+        for a in range(7):
+            n, b = 1, perm.images[a]
+            while b != a:
+                n, b = n + 1, perm.images[b]
+            orbits.append(n)
+        assert perm.order == len(powers) == math.lcm(*orbits)
 
 
 class TestMorphism:
     def test_thue_morse_images(self):
-        assert THUE_MORSE_MORPHISM.apply("0").text() == "01"
-        assert THUE_MORSE_MORPHISM.apply("1").text() == "10"
+        assert THUE_MORSE_MORPHISM.apply_letters(bytes([0])) == bytes([0, 1])
+        assert THUE_MORSE_MORPHISM.apply_letters(bytes([1])) == bytes([1, 0])
 
     def test_ternary_thue_on_two_letters(self):
-        assert TERNARY_THUE_MORPHISM.apply("01").text() == "01202"
+        assert TERNARY_THUE_MORPHISM.apply_letters(bytes([0, 1])) == bytes([0, 1, 2, 0, 2])
 
     def test_empty_word(self):
-        assert len(THUE_MORSE_MORPHISM.apply("")) == 0
+        assert THUE_MORSE_MORPHISM.apply_letters(b"") == b""
 
     def test_undefined_letter(self):
         with pytest.raises(ValueError):
-            THUE_MORSE_MORPHISM.apply(Word.parse("2", alphabet=3))
+            THUE_MORSE_MORPHISM.apply_letters(bytes([2]))
 
     def test_empty_image_rejected(self):
         with pytest.raises(ValueError):
@@ -126,10 +150,10 @@ class TestMorphism:
     @given(st.lists(st.integers(0, 2), max_size=8), st.lists(st.integers(0, 2), max_size=8))
     def test_distributes_over_concatenation(self, left, right):
         morphism = TERNARY_THUE_MORPHISM
-        combined = morphism.apply(bytes(left) + bytes(right))
-        assert combined.letters == morphism.apply(bytes(left)).letters + morphism.apply(
+        combined = morphism.apply_letters(bytes(left) + bytes(right))
+        assert combined == morphism.apply_letters(bytes(left)) + morphism.apply_letters(
             bytes(right)
-        ).letters
+        )
 
     def test_json_round_trip(self):
         data = TERNARY_THUE_MORPHISM.to_json_dict()
@@ -228,7 +252,3 @@ class TestWordType:
         word = Word.parse("01201", alphabet=3)
         assert word[1:4].text() == "120"
         assert word[0] == 0
-
-    def test_concat_requires_same_alphabet(self):
-        with pytest.raises(ValueError):
-            Word.parse("0", alphabet=2) + Word.parse("0", alphabet=3)
