@@ -16,7 +16,6 @@ from .alphas import (
     REPRESENTATIONS,
     AlphaProfile,
     PatternExponents,
-    alpha_value,
     canonical_pattern,
     is_swapped_form,
     profile,
@@ -66,7 +65,6 @@ __all__ = [
     "REPRESENTATIONS",
     "AlphaProfile",
     "PatternExponents",
-    "alpha_value",
     "canonical_pattern",
     "is_swapped_form",
     "profile",

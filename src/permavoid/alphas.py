@@ -45,19 +45,10 @@ __all__ = [
     "blocks_pattern",
     "is_canonical_pattern",
     "representation",
-    "alpha_value",
     "alpha_scan_bound",
     "profile",
     "realizable",
     "is_swapped_form",
-    "has_prefix_square",
-    "has_suffix_square",
-    "has_gapped_square",
-    "has_two_gapped_squares",
-    "contains_cube",
-    "has_two_squares",
-    "contains_gapped_cube",
-    "has_middle_square",
     "alpha_json_value",
 ]
 
@@ -145,12 +136,6 @@ def is_canonical_pattern(pattern: str) -> bool:
 _CANONICAL_SET = frozenset(ALL_PATTERNS)
 
 
-def _require_canonical(pattern: str) -> str:
-    if pattern not in _CANONICAL_SET:
-        raise ValueError(f"{pattern!r} is not a canonical 4-digit equality pattern")
-    return pattern
-
-
 @dataclass(frozen=True)
 class PatternExponents:
     """Exponents (i, j, k) of the pattern x f^i(x) f^j(x) f^k(x)."""
@@ -201,11 +186,6 @@ def alpha_scan_bound(e) -> int:
     return max(i, j, k, abs(i - j), abs(i - k), abs(j - k)) + 1
 
 
-def alpha_value(a: int, e) -> int | float:
-    """Least t >= 1 whose residue pattern is REPRESENTATIONS[a], else infinity."""
-    return profile(e).value(a)
-
-
 @dataclass(frozen=True)
 class AlphaProfile:
     """All fourteen alpha values for one exponent triple, plus their representations."""
@@ -217,9 +197,6 @@ class AlphaProfile:
         if a not in REPRESENTATIONS:
             raise ValueError(f"alpha index must be in 1..14, got {a}")
         return self.values[a - 1]
-
-    def rep(self, a: int) -> str:
-        return REPRESENTATIONS[a]
 
     def as_json(self) -> dict:
         return {
@@ -278,7 +255,7 @@ def realizable(a: int, e, m: int) -> bool:
     """
     if m < 2:
         raise ValueError("alphabet size must be at least 2")
-    return alpha_value(a, e) <= m
+    return profile(e).value(a) <= m
 
 
 def is_swapped_form(p1: str, p2: str) -> bool:
@@ -290,54 +267,6 @@ def is_swapped_form(p1: str, p2: str) -> bool:
         if swapped == p2:
             return True
     return False
-
-
-# ---------------------------------------------------------------------------
-# Structural classifiers of canonical representations.
-# ---------------------------------------------------------------------------
-
-
-def has_prefix_square(pattern: str) -> bool:
-    """Starts with two equal digits while the remaining digits are 1 and 2."""
-    p = _require_canonical(pattern)
-    return p[0] == p[1] and {p[2], p[3]} == {"1", "2"}
-
-
-def has_suffix_square(pattern: str) -> bool:
-    """Ends with "22" while the first two digits are 0 and 1."""
-    p = _require_canonical(pattern)
-    return p[2] == p[3] == "2" and {p[0], p[1]} == {"0", "1"}
-
-
-def has_gapped_square(pattern: str) -> bool:
-    """Exactly 0102 (the 0s gapped) or 0121 (the 1s gapped)."""
-    return _require_canonical(pattern) in ("0102", "0121")
-
-
-def has_two_gapped_squares(pattern: str) -> bool:
-    """Exactly 0101: both digit pairs are gapped."""
-    return _require_canonical(pattern) == "0101"
-
-
-def contains_cube(pattern: str) -> bool:
-    """Exactly 0001 or 0111: three equal digits in a row."""
-    return _require_canonical(pattern) in ("0001", "0111")
-
-
-def has_two_squares(pattern: str) -> bool:
-    """Exactly 0011."""
-    return _require_canonical(pattern) == "0011"
-
-
-def contains_gapped_cube(pattern: str) -> bool:
-    """Exactly 0010 or 0100: three equal digits, one of them separated."""
-    return _require_canonical(pattern) in ("0010", "0100")
-
-
-def has_middle_square(pattern: str) -> bool:
-    """The two middle digits are equal and differ from both outer digits."""
-    p = _require_canonical(pattern)
-    return p[1] == p[2] and p[0] != p[1] and p[3] != p[1]
 
 
 def alpha_json_value(value: int | float) -> int | str:

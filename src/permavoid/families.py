@@ -1,15 +1,15 @@
 """The ten collections of minimal unavoidable parameter sets and the bound sigma.
 
-Each collection (family) is a rule: mandatory indices, choice groups, named
-restriction predicates, explicit exclusions, and optionally an exact
-cardinality.  A single generator interprets every rule: it takes one option
-from each group, unions them with the mandatory indices, and keeps the
-result when it has the required size, passes every restriction, and is not
-explicitly excluded.  Where a family is described through structural classes
-of representations (squares, gapped squares, cubes, ...), the option lists
-are derived from the classifiers in :mod:`permavoid.alphas` rather than
-hand-listed.  RULES.md documents the reading pinned for each restriction and
-the regression anchors that fix it.
+Each collection (family) is a rule held as plain data: mandatory indices,
+choice groups, restriction predicates and explicit exclusions.  A single
+generator interprets every rule: it takes one option from each group, unions
+them with the mandatory indices, and keeps the result when it passes every
+restriction and is not explicitly excluded.  Where a family is described
+through structural classes of representations (squares, gapped squares,
+cubes, ...), its options come from the literal class table below.  Every
+restriction and exclusion changes its family's output, and no family needs
+a size filter: its groups already fix the size.  RULES.md documents the
+reading pinned for each restriction and the regression anchors that fix it.
 
 ``sigma(e)`` evaluates every generated set at the alpha profile of ``e`` by
 the maximum of its members (infinity-absorbing) and returns the minimum over
@@ -29,19 +29,10 @@ from operator import itemgetter
 from typing import Callable, Iterable
 
 from .alphas import (
-    ALPHA_INDICES,
     INFINITY,
     REPRESENTATIONS,
     PatternExponents,
     alpha_json_value,
-    contains_cube,
-    contains_gapped_cube,
-    has_gapped_square,
-    has_middle_square,
-    has_prefix_square,
-    has_suffix_square,
-    has_two_gapped_squares,
-    has_two_squares,
     is_swapped_form,
     profile,
 )
@@ -49,7 +40,6 @@ from .alphas import (
 __all__ = [
     "FamilyRule",
     "FAMILY_IDS",
-    "family_rule",
     "enumerate_family",
     "all_unavoidable_sets",
     "sigma",
@@ -63,26 +53,17 @@ FAMILY_IDS = range(1, 11)
 ParamSet = frozenset[int]
 Predicate = Callable[[ParamSet], bool]
 
-
-def _indices_where(pred: Callable[[str], bool]) -> frozenset[int]:
-    return frozenset(a for a in ALPHA_INDICES if pred(REPRESENTATIONS[a]))
-
-
-_SQUARES = _indices_where(
-    lambda p: (has_prefix_square(p) or has_suffix_square(p)) and not contains_gapped_cube(p)
-)  # {2, 5}
-_GAPPED_SQUARES = _indices_where(
-    lambda p: has_gapped_square(p) and not has_two_gapped_squares(p)
-)  # {3, 4}
-_CUBES = _indices_where(contains_cube)  # {6, 9}
-_CUBES_OR_TWO_SQUARES = _indices_where(lambda p: contains_cube(p) or has_two_squares(p))  # {6, 9, 10}
-_GAPPED_CUBES = _indices_where(contains_gapped_cube)  # {7, 8}
-_TWO_SQUARES = _indices_where(has_two_squares)  # {10}
-_TWO_GAPPED_SQUARES = _indices_where(has_two_gapped_squares)  # {11}
-_MIDDLE_SQUARES = _indices_where(has_middle_square)  # {12, 13}
-_OUTER_EQUAL_ONLY = _indices_where(
-    lambda p: p[0] == p[3] and p[1] != p[0] and p[2] != p[0] and p[1] != p[2]
-)  # {14}
+# Structural classes of the representations in alphas.REPRESENTATIONS.  RULES.md
+# lists the same table, and the test suite keeps the two in step.
+_SQUARES = frozenset({2, 5})  # 0012, 0122: a square and no gapped cube
+_GAPPED_SQUARES = frozenset({3, 4})  # 0102, 0121
+_CUBES = frozenset({6, 9})  # 0001, 0111
+_CUBES_OR_TWO_SQUARES = frozenset({6, 9, 10})  # 0001, 0111, 0011
+_GAPPED_CUBES = frozenset({7, 8})  # 0010, 0100
+_TWO_SQUARES = frozenset({10})  # 0011
+_TWO_GAPPED_SQUARES = frozenset({11})  # 0101
+_MIDDLE_SQUARES = frozenset({12, 13})  # 0110, 0112
+_OUTER_EQUAL_ONLY = frozenset({14})  # 0120
 
 
 def _singletons(indices: Iterable[int]) -> tuple[ParamSet, ...]:
@@ -138,25 +119,12 @@ def _s7_excluded_pairs(s: ParamSet) -> bool:
     return not ({2, 4} <= s or {2, 7} <= s)
 
 
-def _s9_square_slot_balance(s: ParamSet) -> bool:
-    # A square member (2 or 5) is present exactly when the fourth-slot choice
-    # came from the middle-square/outer-equal branch {12, 13, 14} rather than
-    # from a gapped-cube pairing {7,14} / {8,14}.
-    has_square = bool(s & {2, 5})
-    middle_branch = bool(s & {12, 13}) or (14 in s and not s & {7, 8})
-    return has_square == middle_branch
-
-
 def _s9_square_pairings(s: ParamSet) -> bool:
     if 2 in s and 3 not in s:
         return False
     if 5 in s and 4 not in s:
         return False
-    if s & {2, 5}:
-        return bool(s & {12, 13})
-    # No square from {2, 5}: the mandatory two-squares member 10 plays the
-    # square role, pairing with 14 plus a gapped-cube or middle-square member.
-    return 14 in s and bool(s & {7, 8, 12, 13})
+    return not s & {2, 5} or bool(s & {12, 13})
 
 
 def _s9_outer_equal_pairings(s: ParamSet) -> bool:
@@ -167,202 +135,128 @@ def _s9_outer_equal_pairings(s: ParamSet) -> bool:
     return True
 
 
-def _s9_no_full_union(s: ParamSet) -> bool:
-    return not {6, 10, 12, 13, 14} <= s
-
-
 @dataclass(frozen=True)
 class FamilyRule:
     """Declarative description of one family of unavoidable parameter sets."""
 
-    family_id: int
     mandatory: ParamSet
     groups: tuple[tuple[ParamSet, ...], ...]
-    restrictions: tuple[tuple[str, Predicate], ...] = ()
+    restrictions: tuple[Predicate, ...] = ()
     exclusions: frozenset[ParamSet] = frozenset()
-    size: int | None = None
 
     def generate(self) -> tuple[ParamSet, ...]:
-        seen: set[ParamSet] = set()
-        out: list[ParamSet] = []
-        for options in product(*self.groups) if self.groups else ((),):
-            candidate = self.mandatory.union(*options) if options else self.mandatory
-            if self.size is not None and len(candidate) != self.size:
-                continue
-            if candidate in self.exclusions or candidate in seen:
-                continue
-            if all(pred(candidate) for _, pred in self.restrictions):
-                seen.add(candidate)
-                out.append(candidate)
-        return tuple(sorted(out, key=sorted))
+        candidates = (self.mandatory.union(*options) for options in product(*self.groups))
+        kept = {
+            s
+            for s in candidates
+            if s not in self.exclusions and all(pred(s) for pred in self.restrictions)
+        }
+        return tuple(sorted(kept, key=sorted))
 
 
-_S9_EXCLUSIONS = frozenset(
-    {
-        frozenset({1, 3, 6, 8, 10, 11, 14}),
-        frozenset({1, 4, 5, 6, 10, 12, 14}),
-        frozenset({1, 4, 6, 7, 10, 11, 14}),
-    }
-)
-
-
-def _build_rules() -> dict[int, FamilyRule]:
-    rules = {
-        1: FamilyRule(
-            family_id=1,
-            mandatory=frozenset({1}),
-            groups=(
-                _singletons(_SQUARES),
-                _singletons(_GAPPED_SQUARES),
-                _singletons(_CUBES_OR_TWO_SQUARES),
-                _singletons(_GAPPED_CUBES),
-            ),
-            restrictions=(("square_gapped_cube_alignment", _square_gapped_cube_alignment),),
-            size=5,
+_RULES = {
+    1: FamilyRule(
+        mandatory=frozenset({1}),
+        groups=(
+            _singletons(_SQUARES),
+            _singletons(_GAPPED_SQUARES),
+            _singletons(_CUBES_OR_TWO_SQUARES),
+            _singletons(_GAPPED_CUBES),
         ),
-        2: FamilyRule(
-            family_id=2,
-            mandatory=frozenset({1}) | _MIDDLE_SQUARES,
-            groups=(
-                _singletons({2, 3, 4}),
-                _singletons({6, 7, 9}),
-            ),
-            restrictions=(
-                ("prefix_square_needs_first_gapped_cube", _s2_prefix_square_needs_first_gapped_cube),
-            ),
-            size=5,
+        restrictions=(_square_gapped_cube_alignment,),
+    ),
+    2: FamilyRule(
+        mandatory=frozenset({1}) | _MIDDLE_SQUARES,
+        groups=(_singletons({2, 3, 4}), _singletons({6, 7, 9})),
+        restrictions=(_s2_prefix_square_needs_first_gapped_cube,),
+    ),
+    3: FamilyRule(
+        mandatory=frozenset({1}) | _TWO_SQUARES,
+        groups=(
+            _singletons(_SQUARES),
+            _singletons(_GAPPED_SQUARES),
+            _singletons(_GAPPED_CUBES),
         ),
-        3: FamilyRule(
-            family_id=3,
-            mandatory=frozenset({1}) | _TWO_SQUARES,
-            groups=(
-                _singletons(_SQUARES),
-                _singletons(_GAPPED_SQUARES),
-                _singletons(_GAPPED_CUBES),
-            ),
-            restrictions=(("square_gapped_cube_alignment", _square_gapped_cube_alignment),),
-            size=5,
+        restrictions=(_square_gapped_cube_alignment,),
+    ),
+    4: FamilyRule(
+        mandatory=frozenset({1, 2, 7}),
+        groups=(_singletons(_CUBES_OR_TWO_SQUARES), _singletons(_OUTER_EQUAL_ONLY)),
+    ),
+    5: FamilyRule(
+        mandatory=frozenset({1, 12, 13}) | _OUTER_EQUAL_ONLY,
+        groups=(_singletons(_CUBES),),
+    ),
+    # The known member {1,4,6,7,9,10,13,14} carries both cube indices, and
+    # dropping either one must leave the family (members form an antichain),
+    # so the cube slot contributes 6 and 9 together.
+    6: FamilyRule(
+        mandatory=frozenset({1, 10, 13, 14}) | _CUBES,
+        groups=(_singletons(_GAPPED_CUBES), _singletons(_GAPPED_SQUARES)),
+        restrictions=(_s6_gapped_cube_needs_matching_gapped_square, _s6_no_mixed_gapped_pair),
+    ),
+    7: FamilyRule(
+        mandatory=frozenset({1, 12, 13}),
+        groups=(
+            _singletons(_SQUARES),
+            _singletons(_GAPPED_SQUARES),
+            _singletons(_GAPPED_CUBES),
         ),
-        4: FamilyRule(
-            family_id=4,
-            mandatory=frozenset({1, 2, 7}),
-            groups=(
-                _singletons(_CUBES_OR_TWO_SQUARES),
-                _singletons(_OUTER_EQUAL_ONLY),
+        restrictions=(_s7_excluded_pairs, _square_gapped_cube_alignment),
+    ),
+    8: FamilyRule(
+        mandatory=frozenset({1, 3, 5, 7}) | _OUTER_EQUAL_ONLY,
+        groups=(_singletons(_CUBES),),
+    ),
+    9: FamilyRule(
+        mandatory=frozenset({1}) | _TWO_SQUARES | _TWO_GAPPED_SQUARES,
+        groups=(
+            # one square with a middle-square/outer-equal element, or no square
+            # and a gapped-cube pairing with 14: two elements in all
+            (
+                frozenset({7, 14}),
+                frozenset({8, 14}),
+                frozenset({2, 12}),
+                frozenset({2, 13}),
+                frozenset({2, 14}),
+                frozenset({5, 12}),
+                frozenset({5, 13}),
+                frozenset({5, 14}),
             ),
+            _singletons(_GAPPED_SQUARES),
+            _singletons(_CUBES),
         ),
-        5: FamilyRule(
-            family_id=5,
-            mandatory=frozenset({1, 12, 13}) | _OUTER_EQUAL_ONLY,
-            groups=(_singletons(_CUBES),),
-        ),
-        # The known member {1,4,6,7,9,10,13,14} carries both cube indices, and
-        # dropping either one must leave the family (members form an
-        # antichain), so the cube slot contributes 6 and 9 together.
-        6: FamilyRule(
-            family_id=6,
-            mandatory=frozenset({1, 10, 13, 14}) | _CUBES,
-            groups=(
-                _singletons(_GAPPED_CUBES),
-                _singletons(_GAPPED_SQUARES),
-            ),
-            restrictions=(
-                (
-                    "gapped_cube_needs_matching_gapped_square",
-                    _s6_gapped_cube_needs_matching_gapped_square,
-                ),
-                ("no_mixed_gapped_pair", _s6_no_mixed_gapped_pair),
-            ),
-        ),
-        7: FamilyRule(
-            family_id=7,
-            mandatory=frozenset({1, 12, 13}),
-            groups=(
-                _singletons(_SQUARES),
-                _singletons(_GAPPED_SQUARES),
-                _singletons(_GAPPED_CUBES),
-            ),
-            restrictions=(
-                ("excluded_pairs", _s7_excluded_pairs),
-                ("square_gapped_cube_alignment", _square_gapped_cube_alignment),
+        restrictions=(_s9_square_pairings, _s9_outer_equal_pairings),
+        # the rules above would otherwise generate this known non-member
+        exclusions=frozenset({frozenset({1, 3, 6, 8, 10, 11, 14})}),
+    ),
+    10: FamilyRule(
+        mandatory=frozenset({1}),
+        groups=(
+            (
+                frozenset({3, 5, 6, 10, 11, 13, 14}),
+                frozenset({3, 5, 9, 10, 11, 13, 14}),
+                frozenset({2, 4, 13, 6, 10, 11, 14}),
+                frozenset({2, 4, 13, 9, 10, 11, 14}),
             ),
         ),
-        8: FamilyRule(
-            family_id=8,
-            mandatory=frozenset({1, 3, 5, 7}) | _OUTER_EQUAL_ONLY,
-            groups=(_singletons(_CUBES),),
-            size=6,
-        ),
-        9: FamilyRule(
-            family_id=9,
-            mandatory=frozenset({1}) | _TWO_SQUARES | _TWO_GAPPED_SQUARES,
-            groups=(
-                # square members and/or the fourth slot; two elements in all
-                (
-                    frozenset({7, 14}),
-                    frozenset({8, 14}),
-                    frozenset({2, 12}),
-                    frozenset({2, 13}),
-                    frozenset({2, 14}),
-                    frozenset({5, 12}),
-                    frozenset({5, 13}),
-                    frozenset({5, 14}),
-                ),
-                _singletons(_GAPPED_SQUARES),
-                _singletons(_CUBES),
-            ),
-            restrictions=(
-                ("square_slot_balance", _s9_square_slot_balance),
-                ("square_pairings", _s9_square_pairings),
-                ("outer_equal_pairings", _s9_outer_equal_pairings),
-                ("no_full_union", _s9_no_full_union),
-            ),
-            exclusions=_S9_EXCLUSIONS,
-            size=7,
-        ),
-        10: FamilyRule(
-            family_id=10,
-            mandatory=frozenset({1}),
-            groups=(
-                (
-                    frozenset({3, 5, 6, 10, 11, 13, 14}),
-                    frozenset({3, 5, 9, 10, 11, 13, 14}),
-                    frozenset({2, 4, 13, 6, 10, 11, 14}),
-                    frozenset({2, 4, 13, 9, 10, 11, 14}),
-                ),
-            ),
-            size=8,
-        ),
-    }
-    return rules
-
-
-_RULES = _build_rules()
-
-
-def family_rule(family_id: int) -> FamilyRule:
-    if family_id not in _RULES:
-        raise ValueError(f"family id must be in 1..10, got {family_id}")
-    return _RULES[family_id]
+    ),
+}
 
 
 @lru_cache(maxsize=None)
 def enumerate_family(family_id: int) -> tuple[ParamSet, ...]:
     """All parameter sets of the given family, deduplicated and sorted."""
-    return family_rule(family_id).generate()
+    if family_id not in _RULES:
+        raise ValueError(f"family id must be in 1..10, got {family_id}")
+    return _RULES[family_id].generate()
 
 
 @lru_cache(maxsize=None)
 def all_unavoidable_sets() -> tuple[ParamSet, ...]:
     """Deduplicated union of the ten families."""
-    seen: set[ParamSet] = set()
-    out: list[ParamSet] = []
-    for family_id in FAMILY_IDS:
-        for s in enumerate_family(family_id):
-            if s not in seen:
-                seen.add(s)
-                out.append(s)
-    return tuple(sorted(out, key=lambda s: (len(s), sorted(s))))
+    union = {s for family_id in FAMILY_IDS for s in enumerate_family(family_id)}
+    return tuple(sorted(union, key=lambda s: (len(s), sorted(s))))
 
 
 @lru_cache(maxsize=1)

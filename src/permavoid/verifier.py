@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .alphas import ALPHA_INDICES
@@ -141,18 +142,32 @@ def load_spec(source: str | Path) -> MorphicWordSpec:
         if key not in data:
             raise ValueError(f"spec file {path}: missing key {key!r}")
     for key in ("base", "coding"):
-        if not isinstance(data.get(key, {}), dict):
-            raise ValueError(f"spec file {path}: {key!r} must be a JSON object")
+        images = data.get(key, {})
+        if not isinstance(images, dict) or not all(isinstance(v, str) for v in images.values()):
+            raise ValueError(f"spec file {path}: {key!r} must be a JSON object of strings")
     for key in ("seed", "base_alphabet", "target_alphabet"):
         if key in data and type(data[key]) is not int:  # bool is an int subclass
             raise ValueError(
                 f"spec file {path}: {key!r} must be an integer, got {json.dumps(data[key])}"
             )
-    base = Morphism.from_json_dict(data["base"], data.get("base_alphabet"))
-    coding = None
-    if "coding" in data:
+    with _spec_key(path, "base"):
+        base = Morphism.from_json_dict(data["base"], data.get("base_alphabet"))
+    with _spec_key(path, "seed"):
+        spec = MorphicWordSpec(base, data["seed"], name=data.get("name"))
+    if "coding" not in data:
+        return spec
+    with _spec_key(path, "coding"):
         coding = Morphism.from_json_dict(data["coding"], data.get("target_alphabet"))
-    return MorphicWordSpec(base, data["seed"], coding, data.get("name"))
+        return replace(spec, coding=coding)
+
+
+@contextmanager
+def _spec_key(path: Path, key: str):
+    """Name the spec file and key in the ValueErrors raised while reading that key."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"spec file {path}: {key!r}: {exc}") from None
 
 
 def max_gap_without_full_image(spec: MorphicWordSpec, length: int) -> int:

@@ -196,6 +196,8 @@ class Morphism:
         self.images = tuple(pairs[a] for a in range(source))
         self.source_alphabet = source
         self.target_alphabet = target_alphabet
+        if target_alphabet > MAX_ALPHABET:
+            raise ValueError(f"target alphabet must be at most {MAX_ALPHABET}, got {target_alphabet}")
         if any(max(img) >= target_alphabet for img in self.images):
             raise ValueError("image letter out of range for the target alphabet")
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permavoid import families
 from permavoid.alphas import (
     ALL_PATTERNS,
     ALPHA_INDICES,
@@ -14,17 +15,8 @@ from permavoid.alphas import (
     REPRESENTATIONS,
     PatternExponents,
     alpha_scan_bound,
-    alpha_value,
     blocks_pattern,
     canonical_pattern,
-    contains_cube,
-    contains_gapped_cube,
-    has_gapped_square,
-    has_middle_square,
-    has_prefix_square,
-    has_suffix_square,
-    has_two_gapped_squares,
-    has_two_squares,
     is_canonical_pattern,
     is_swapped_form,
     profile,
@@ -89,15 +81,15 @@ class TestRepresentation:
 
 class TestAlphaValues:
     def test_frozen_examples(self):
-        assert alpha_value(1, (1, 2, 3)) == 4
-        assert alpha_value(2, (1, 2, 3)) == INFINITY
-        assert alpha_value(6, (2, 4, 5)) == 2
+        assert profile((1, 2, 3)).value(1) == 4
+        assert profile((1, 2, 3)).value(2) == INFINITY
+        assert profile((2, 4, 5)).value(6) == 2
 
     def test_index_range_enforced(self):
         with pytest.raises(ValueError):
-            alpha_value(0, (1, 2, 3))
+            profile((1, 2, 3)).value(0)
         with pytest.raises(ValueError):
-            alpha_value(15, (1, 2, 3))
+            profile((1, 2, 3)).value(15)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -105,7 +97,7 @@ class TestAlphaValues:
         st.tuples(st.integers(0, 40), st.integers(0, 40), st.integers(0, 40)),
     )
     def test_matches_independent_scan(self, a, e):
-        assert alpha_value(a, e) == oracle_alpha(a, e)
+        assert profile(e).value(a) == oracle_alpha(a, e)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -113,7 +105,7 @@ class TestAlphaValues:
         st.tuples(st.integers(0, 40), st.integers(0, 40), st.integers(0, 40)),
     )
     def test_value_reproduces_representation(self, a, e):
-        value = alpha_value(a, e)
+        value = profile(e).value(a)
         if value != INFINITY:
             assert representation(int(value), e) == REPRESENTATIONS[a]
 
@@ -131,7 +123,6 @@ class TestAlphaValues:
             4, INFINITY, INFINITY, INFINITY, INFINITY, INFINITY, INFINITY,
             INFINITY, INFINITY, INFINITY, 2, INFINITY, INFINITY, 3,
         ]
-        assert prof.rep(3) == "0102"
 
     def test_alpha1_always_above_three(self):
         for e in [(1, 2, 3), (5, 11, 2), (7, 14, 21), (4, 9, 25)]:
@@ -185,35 +176,35 @@ class TestExponents:
         assert not PatternExponents(2, 3, 2).is_valid_for_sigma
 
 
+def equal_pairs(pattern: str) -> set[tuple[int, int]]:
+    """Position pairs (x, y), x < y, at which the pattern repeats a digit."""
+    return {(x, y) for x in range(4) for y in range(x + 1, 4) if pattern[x] == pattern[y]}
+
+
 class TestClassifiers:
-    # expected classifier outputs for each canonical pattern
-    EXPECTED = {
-        "prefix_square": {"0012"},
-        "suffix_square": {"0122"},
-        "gapped_square": {"0102", "0121"},
-        "two_gapped_squares": {"0101"},
-        "cube": {"0001", "0111"},
-        "two_squares": {"0011"},
-        "gapped_cube": {"0010", "0100"},
-        "middle_square": {"0110", "0112"},
+    """The structural classes of the representations, held as literal index sets in families."""
+
+    SQUARE = ({(0, 1)}, {(2, 3)})
+    CUBE = ({(0, 1), (0, 2), (1, 2)}, {(1, 2), (1, 3), (2, 3)})
+    TWO_SQUARES = ({(0, 1), (2, 3)},)
+    # each class by the position pairs at which its representations repeat a digit
+    CLASSES = {
+        "_SQUARES": SQUARE,
+        "_GAPPED_SQUARES": ({(0, 2)}, {(1, 3)}),
+        "_CUBES": CUBE,
+        "_CUBES_OR_TWO_SQUARES": CUBE + TWO_SQUARES,
+        "_GAPPED_CUBES": ({(0, 1), (0, 3), (1, 3)}, {(0, 2), (0, 3), (2, 3)}),
+        "_TWO_SQUARES": TWO_SQUARES,
+        "_TWO_GAPPED_SQUARES": ({(0, 2), (1, 3)},),
+        "_MIDDLE_SQUARES": ({(1, 2)}, {(0, 3), (1, 2)}),
+        "_OUTER_EQUAL_ONLY": ({(0, 3)},),
     }
 
     @pytest.mark.parametrize("pattern", ALL_PATTERNS)
     def test_truth_table(self, pattern):
-        assert has_prefix_square(pattern) == (pattern in self.EXPECTED["prefix_square"])
-        assert has_suffix_square(pattern) == (pattern in self.EXPECTED["suffix_square"])
-        assert has_gapped_square(pattern) == (pattern in self.EXPECTED["gapped_square"])
-        assert has_two_gapped_squares(pattern) == (
-            pattern in self.EXPECTED["two_gapped_squares"]
-        )
-        assert contains_cube(pattern) == (pattern in self.EXPECTED["cube"])
-        assert has_two_squares(pattern) == (pattern in self.EXPECTED["two_squares"])
-        assert contains_gapped_cube(pattern) == (pattern in self.EXPECTED["gapped_cube"])
-        assert has_middle_square(pattern) == (pattern in self.EXPECTED["middle_square"])
-
-    def test_non_canonical_rejected(self):
-        with pytest.raises(ValueError):
-            has_prefix_square("0021")
+        index = next((a for a, rep in REPRESENTATIONS.items() if rep == pattern), None)
+        for name, shapes in self.CLASSES.items():
+            assert (index in getattr(families, name)) == (equal_pairs(pattern) in shapes), name
 
 
 class TestSwappedForm:

@@ -204,17 +204,32 @@ class TestDomainErrors:
         path = tmp_path / "bad.json"
         base = '"base": {"0": "01", "1": "10"}'
         documents = ("[1, 2]", '{"base": "012", "seed": 0}', "{")
-        # seeds and alphabet sizes must be JSON integers; true and 1.7 are not read as 1
+        # seeds and alphabet sizes must be JSON integers (true and 1.7 are not read as 1),
+        # and an alphabet has at most 256 letters
         documents += tuple(
             "{" + base + ", " + field + "}"
             for field in (
                 '"seed": null',
                 '"seed": [0]',
                 '"seed": 0, "base_alphabet": "x"',
+                '"seed": 0, "base_alphabet": 300',
                 '"seed": 1.7',
                 '"seed": true',
             )
         )
+        # images must be JSON strings, and morphism or seed errors name the file and key
+        documents += tuple(
+            '{"base": ' + images + ', "seed": 0}'
+            for images in (
+                '{"0": [0, 1], "1": "10"}',
+                '{"0": "0,300", "1": "10"}',
+                '{"0": "", "1": "10"}',
+                '{"x": "01", "1": "10"}',
+                "{}",
+                '{"0": "10", "1": "01"}',  # not prolongable on seed 0
+            )
+        )
+        documents += ("{" + base + ', "seed": 0, "coding": {"0": "1"}}',)
         for document in documents:
             path.write_text(document, encoding="utf-8")
             err = self.assert_one_line_error(

@@ -1,7 +1,12 @@
+import hashlib
 import random
+import re
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+from permavoid import families
 from permavoid.alphas import (
     ALPHA_INDICES,
     INFINITY,
@@ -13,10 +18,10 @@ from permavoid.alphas import (
 )
 from permavoid.families import (
     FAMILY_IDS,
+    _RULES,
     all_unavoidable_sets,
     classify,
     enumerate_family,
-    family_rule,
     set_max,
     sigma,
 )
@@ -111,7 +116,27 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             enumerate_family(0)
         with pytest.raises(ValueError):
-            family_rule(11)
+            enumerate_family(11)
+
+    def test_every_filter_is_live(self):
+        # dropping any one restriction or exclusion changes the family
+        for family_id, rule in _RULES.items():
+            full = rule.generate()
+            for n in range(len(rule.restrictions)):
+                restrictions = rule.restrictions[:n] + rule.restrictions[n + 1 :]
+                assert replace(rule, restrictions=restrictions).generate() != full, (family_id, n)
+            for excluded in rule.exclusions:
+                exclusions = rule.exclusions - {excluded}
+                assert replace(rule, exclusions=exclusions).generate() != full, (family_id, excluded)
+
+    def test_all_sets_pinned(self):
+        # every set and the order of all 47, not only counts and anchors
+        digest = hashlib.sha256()
+        for s in all_unavoidable_sets():
+            digest.update(repr(sorted(s)).encode())
+        assert digest.hexdigest() == (
+            "37ad5e5484793449480aeacaad1a0fe8a921b4bd207074bfb2c27d11bb3e566c"
+        )
 
     def test_family2_prefix_square_forces_first_gapped_cube(self):
         for s in enumerate_family(2):
@@ -139,6 +164,40 @@ class TestEnumeration:
                 if {5, 3} <= s:
                     assert 8 in s and 7 not in s
                 assert not {5, 4} <= s
+
+
+class TestRulesDoc:
+    """RULES.md states the family counts and the class table that families.py holds."""
+
+    TEXT = (Path(__file__).resolve().parents[1] / "RULES.md").read_text(encoding="utf-8")
+
+    #: Name of each structural class in RULES.md, with its table in families.py.
+    CLASSES = {
+        "squares-without-gapped-cube": families._SQUARES,
+        "gapped squares": families._GAPPED_SQUARES,
+        "cubes": families._CUBES,
+        "cubes-or-two-squares": families._CUBES_OR_TWO_SQUARES,
+        "gapped cubes": families._GAPPED_CUBES,
+        "two squares": families._TWO_SQUARES,
+        "two gapped squares": families._TWO_GAPPED_SQUARES,
+        "middle squares": families._MIDDLE_SQUARES,
+        "outer-equal-only": families._OUTER_EQUAL_ONLY,
+    }
+
+    def test_stated_set_counts(self):
+        stated = {
+            int(family_id): int(count)
+            for family_id, count in re.findall(r"^- \*\*S(\d+)\*\*.*?(\d+) sets\.", self.TEXT, re.M | re.S)
+        }
+        assert stated == {family_id: len(enumerate_family(family_id)) for family_id in FAMILY_IDS}
+
+    def test_structural_class_line(self):
+        paragraph = self.TEXT.split("Structural classes", 1)[1].split("\n\n", 1)[0]
+        stated = {
+            " ".join(name.split()): frozenset(int(a) for a in members.split(","))
+            for name, members in re.findall(r"([a-z][a-z\s-]*?) `\{([\d,]+)\}`", paragraph)
+        }
+        assert stated == self.CLASSES
 
 
 class TestSigma:
