@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 import time
 
@@ -59,6 +60,12 @@ def _add_instance_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_verbose(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--verbose", action="store_true", help="log progress of long runs to stderr"
+    )
+
+
 def _parse_params(raw: str) -> tuple[int, ...]:
     try:
         params = tuple(sorted({int(part) for part in raw.split(",") if part.strip()}))
@@ -86,10 +93,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_instance_options(search_cmd)
     search_cmd.add_argument("--cap", type=int, default=400, help="length cap")
     search_cmd.add_argument("--budget", type=int, default=100_000_000, help="node budget")
+    _add_verbose(search_cmd)
 
     verify_word_cmd = sub.add_parser("verify-word", help="check one word against a parameter set")
     verify_word_cmd.add_argument("--word", type=str, required=True, help="digit string")
     _add_instance_options(verify_word_cmd)
+    _add_verbose(verify_word_cmd)
 
     verify_morphic_cmd = sub.add_parser(
         "verify-morphic", help="bounded avoidance certificate for a morphic word prefix"
@@ -107,12 +116,16 @@ def build_parser() -> argparse.ArgumentParser:
     verify_morphic_cmd.add_argument(
         "--max-positions", type=int, default=None, help="cap on examined factor end positions"
     )
+    _add_verbose(verify_morphic_cmd)
 
     return parser
 
 
 def _config_echo(args: argparse.Namespace) -> dict:
-    return {key: value for key, value in sorted(vars(args).items()) if key != "command"}
+    """The options that decide the result; ``--verbose`` only adds stderr lines."""
+    return {
+        key: value for key, value in sorted(vars(args).items()) if key not in ("command", "verbose")
+    }
 
 
 def _exponents_from(args: argparse.Namespace) -> PatternExponents:
@@ -227,12 +240,23 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
 
+    # --verbose sends the library's progress lines to stderr for this call only
+    log = logging.getLogger("permavoid")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("permavoid: %(message)s"))
+    level = log.level
+    if getattr(args, "verbose", False):
+        log.addHandler(handler)
+        log.setLevel(logging.DEBUG)
     started = time.perf_counter()
     try:
         result, code = _HANDLERS[args.command](args)
     except ValueError as exc:
         print(f"permavoid: error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN_ERROR
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
     elapsed = time.perf_counter() - started
 
     report = {

@@ -150,6 +150,10 @@ def load_spec(source: str | Path) -> MorphicWordSpec:
             raise ValueError(
                 f"spec file {path}: {key!r} must be an integer, got {json.dumps(data[key])}"
             )
+    if "name" in data and not isinstance(data["name"], str):
+        raise ValueError(
+            f"spec file {path}: 'name' must be a string, got {json.dumps(data['name'])}"
+        )
     with _spec_key(path, "base"):
         base = Morphism.from_json_dict(data["base"], data.get("base_alphabet"))
     with _spec_key(path, "seed"):

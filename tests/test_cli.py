@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -174,6 +175,40 @@ class TestVerifyMorphicCommand:
         assert report["result"]["gap_without_full_image"] == 30
 
 
+class TestVerbose:
+    def test_progress_on_stderr_only(self, capsys, monkeypatch):
+        # --verbose adds progress lines on stderr and leaves the report as it was
+        import permavoid.search as search_module
+        from permavoid.verifier import h_alpha_spec
+
+        monkeypatch.setattr(search_module, "_PROGRESS_EVERY", 10_000)
+        monkeypatch.setattr(search_module, "_POSITIONS_PROGRESS_EVERY", 100)
+        commands = [
+            ("search", ["search", "--m", "4", "--forbidden", "1,2,4,6,7", "--model", "cycle",
+                        "--cap", "40"]),
+            ("verify", ["verify-word", "--word", h_alpha_spec().generate(400).text(), "--m", "5",
+                        "--forbidden", "2,3,4"]),
+            ("verify", ["verify-morphic", "--spec", "h-alpha", "--forbidden", "2,3,4",
+                        "--umax", "8", "--len", "400"]),
+        ]
+        for name, argv in commands:
+            outputs = []
+            for extra in ([], ["--verbose"], []):
+                main(argv + extra)
+                captured = capsys.readouterr()
+                outputs.append(re.sub(r'"elapsed_seconds": [^,]*,', "", captured.out))
+                progress = [line for line in captured.err.splitlines() if line]
+                if extra:
+                    assert progress and all(
+                        line.startswith(f"permavoid: {name}: ") and "memo" in line
+                        for line in progress
+                    )
+                else:
+                    assert progress == []  # the handler is gone after the verbose run
+            assert outputs[0] == outputs[1] == outputs[2]
+            assert "verbose" not in json.loads(outputs[0])["config"]
+
+
 class TestDomainErrors:
     def assert_one_line_error(self, capsys, argv):
         code = main(argv)
@@ -215,6 +250,8 @@ class TestDomainErrors:
                 '"seed": 0, "base_alphabet": 300',
                 '"seed": 1.7',
                 '"seed": true',
+                '"seed": 0, "name": [1]',  # a spec's name must be a JSON string
+                '"seed": 0, "name": 3',
             )
         )
         # images must be JSON strings, and morphism or seed errors name the file and key
@@ -236,6 +273,11 @@ class TestDomainErrors:
                 capsys, ["verify-morphic", "--spec", str(path), "--forbidden", "10"]
             )
             assert "spec file" in err
+        path.write_text("{" + base + ', "seed": 0, "name": [1]}', encoding="utf-8")
+        err = self.assert_one_line_error(
+            capsys, ["verify-morphic", "--spec", str(path), "--forbidden", "10"]
+        )
+        assert err == f"permavoid: error: spec file {path}: 'name' must be a string, got [1]\n"
 
     def test_exponent_above_cap(self, capsys):
         err = self.assert_one_line_error(

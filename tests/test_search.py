@@ -17,12 +17,31 @@ from permavoid.search import (
     suffix_instance,
     verify_word_avoids,
 )
+from permavoid.verifier import h_alpha_spec, load_spec
 from permavoid.words import Permutation, Word
 
 from oracles import oracle_longest_avoiding_word, oracle_suffix_witness, perm_powers
 
 
 POWER_TABLES = {m: [perm_powers(f) for f in permutations(range(m))] for m in (2, 3, 4)}
+
+
+def _recording(monkeypatch, name):
+    """Replace a search-module function by a delegating recorder; returns its call list."""
+    calls = []
+    original = getattr(search_module, name)
+
+    def record(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(search_module, name, record)
+    return calls
+
+
+def _last_gap(block):
+    """How far back the block's last letter last occurred inside the block, or None."""
+    return next((d for d in range(1, len(block)) if block[-1 - d] == block[-1]), None)
 
 
 class TestModels:
@@ -286,9 +305,6 @@ class TestSuffixInstance:
 
         monkeypatch.setattr(search_module, "_match", record)
 
-        def last_gap(block):
-            return next((d for d in range(1, len(block)) if block[-1 - d] == block[-1]), None)
-
         rng = random.Random(2718)
         passed = skipped = 0
         for _ in range(3000):
@@ -311,7 +327,7 @@ class TestSuffixInstance:
                 blocks = tuple(w[n - (4 - l) * b : n - (3 - l) * b] for l in range(4))
                 if canonical_pattern(blocks) not in forbidden:
                     continue
-                if len({last_gap(block) for block in blocks}) == 1:
+                if len({_last_gap(block) for block in blocks}) == 1:
                     expected.append(blocks)
                     passed += b > 1
                 else:
@@ -356,6 +372,154 @@ class TestVerifyWordAvoids:
         for max_block in (0, -1):
             with pytest.raises(ValueError, match="max_block must be positive"):
                 verify_word_avoids("0000", config, max_block=max_block)
+
+
+class TestScanMemo:
+    # a scan decides each distinct factor once: witnesses, node counts and
+    # certificates must be those of deciding every split afresh
+
+    @staticmethod
+    def repetitive_words(rng):
+        yield h_alpha_spec().generate(112).letters, 5
+        yield load_spec("thue-morse").generate(96).letters, 2
+        for m in (2, 3, 4):
+            for _ in range(6):
+                # a periodic prefix with a planted u f^e1(u) f^e2(u) f^e3(u)
+                period = bytes(rng.randrange(m) for _ in range(rng.randint(2, 6)))
+                w = (period * 20)[: rng.randint(20, 60)]
+                f = rng.choice(POWER_TABLES[m])
+                u = bytes(rng.randrange(m) for _ in range(rng.randint(1, 4)))
+                powers = [rng.randint(1, 2 * len(f)) for _ in range(3)]
+                w += u + b"".join(bytes(f[e % len(f)][a] for a in u) for e in powers)
+                yield w + (period * 10)[: rng.randint(0, 20)], m
+
+    def test_verify_word_matches_oracle_prefixwise(self, monkeypatch):
+        outcomes = _recording(monkeypatch, "_split_outcome")
+        rng = random.Random(8128)
+        reached = classified = witnesses = 0
+        for w, m in self.repetitive_words(rng):
+            for model in (PermModel.ALL_PERMUTATIONS, PermModel.FULL_CYCLE):
+                perms = model_permutations(model, m)
+                tables = [perm_powers(p.images) for p in perms]
+                for exponents in (None, (1, 2, 3), (2, 1, 2)):
+                    forbidden = frozenset(rng.sample(ALL_PATTERNS, rng.randint(1, 8)))
+                    config = SearchConfig(
+                        alphabet=m, forbidden=forbidden, model=model, exponents=exponents
+                    )
+                    for max_block in (None, rng.randint(1, 6)):
+                        limit = max_block or len(w)
+                        expected = None
+                        for end in range(4, len(w) + 1):
+                            found = oracle_suffix_witness(w[:end], tables, forbidden, exponents)
+                            if found is not None and found[1] <= limit:
+                                expected = found
+                                break
+                        outcomes.clear()
+                        got = verify_word_avoids(w, config, max_block=max_block)
+                        if expected is None:
+                            assert got is None
+                            scanned = len(w)
+                        else:
+                            witnesses += 1
+                            start, b, index, found = expected
+                            blocks = [w[start + l * b : start + (l + 1) * b] for l in range(4)]
+                            assert got.as_json() == {
+                                "start": start,
+                                "block_length": b,
+                                "blocks": ["".join(str(a) for a in blk) for blk in blocks],
+                                "permutation": list(perms[index].images),
+                                "exponents": list(found),
+                                "pattern": canonical_pattern(blocks),
+                            }
+                            scanned = start + 4 * b
+                        # each distinct factor is classified once, though many
+                        # splits that pass the relabelling filter repeat one
+                        factors = [args[0] for args in outcomes]
+                        assert len(set(factors)) == len(factors)
+                        classified += len(factors)
+                        reached += sum(
+                            len({_last_gap(w[e - (4 - l) * b : e - (3 - l) * b]) for l in range(4)})
+                            == 1
+                            for e in range(4, scanned + 1)
+                            for b in range(1, min(e // 4, limit) + 1)
+                        )
+        assert witnesses >= 50
+        assert reached >= 3 * classified
+
+    def test_search_matches_oracle_when_memo_clears(self, monkeypatch):
+        # a four-entry memo is emptied over and over; the whole result, node
+        # count included, must still equal the definitional DFS's (the configs
+        # are a seeded subset of test_matches_oracle_search's draws)
+        monkeypatch.setattr(search_module, "_MEMO_MAX_ENTRIES", 4)
+        outcomes = _recording(monkeypatch, "_split_outcome")
+        rng = random.Random(6174)
+        repeated = compared = 0
+        for m in (2, 3, 4):
+            for model in PermModel:
+                if model is PermModel.FIX_ONE_POINT_CYCLE and m < 3:
+                    continue
+                tables = [perm_powers(p.images) for p in model_permutations(model, m)]
+                for exponents in (None, (1, 2, 3), (2, 5, 7)):
+                    for draw in range(8):
+                        params = rng.sample(range(1, 15), rng.randint(3, 14))
+                        config = SearchConfig.for_params(
+                            alphabet=m,
+                            params=params,
+                            model=model,
+                            exponents=exponents,
+                            length_cap=rng.randint(8, 30),
+                            node_budget=int(10 ** rng.uniform(0.7, 3.3)),
+                        )
+                        if draw % 3:
+                            continue
+                        length, best, exhausted, nodes = oracle_longest_avoiding_word(
+                            m, tables, config.forbidden, exponents,
+                            config.length_cap, config.node_budget, prune=True,
+                        )
+                        outcomes.clear()
+                        got = longest_avoiding_word(config)
+                        assert got.as_json() == {
+                            "max_length_found": length,
+                            "witness_word": Word(bytes(best), m).text(),
+                            "exhausted": exhausted,
+                            "nodes_visited": nodes,
+                        }
+                        compared += 1
+                        repeated += len(outcomes) - len({args[0] for args in outcomes})
+        assert compared >= 60
+        assert repeated >= 500
+
+    def test_memo_bounded(self, monkeypatch):
+        # blocks longer than 64 letters are decided without the memo, and the
+        # memo never holds more than its entry cap
+        monkeypatch.setattr(search_module, "_MEMO_MAX_ENTRIES", 50)
+        outcomes = _recording(monkeypatch, "_split_outcome")
+        rng = random.Random(1729)
+        w = bytes(rng.randrange(3) for _ in range(700))
+        config = SearchConfig(alphabet=3, forbidden=frozenset({"0123", "0012"}))
+        compiled = search_module._compiled(config.model, config.alphabet)
+        prev = search_module._prev_index(w)
+        memo = {}
+        sizes = set()
+        for end in range(4, len(w) + 1):
+            search_module._suffix_witness(w, prev, end, config, compiled, end, memo)
+            assert len(memo) <= 50
+            assert all(len(factor) <= 4 * 64 for factor in memo)
+            sizes.add(len(memo))
+        assert 50 in sizes and 1 in sizes  # filled up to the cap, then emptied
+        assert sum(b > 64 for _, b, _, _ in outcomes) >= 100
+
+    def test_search36_matcher_calls_pinned(self, monkeypatch):
+        # 39,017 splits of the family-1 search reach the matcher; 681 of them
+        # are distinct factors, and each is matched once
+        calls = _recording(monkeypatch, "_match")
+        config = SearchConfig.for_params(
+            alphabet=4, params={1, 2, 4, 6, 7}, model=PermModel.FULL_CYCLE, length_cap=40
+        )
+        result = longest_avoiding_word(config)
+        assert (result.max_length_found, result.nodes_visited) == (36, 43_810)
+        assert len(calls) == 681
+        assert len({args[1:5] for args in calls}) == 681
 
 
 class TestLongestAvoidingWord:
