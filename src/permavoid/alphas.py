@@ -148,18 +148,6 @@ class PatternExponents:
         if min(self.i, self.j, self.k) < 0:
             raise ValueError("exponents must be nonnegative")
 
-    @property
-    def is_valid_for_sigma(self) -> bool:
-        """True when i, j, k are positive and pairwise distinct."""
-        return (
-            self.i >= 1
-            and self.j >= 1
-            and self.k >= 1
-            and self.i != self.j
-            and self.j != self.k
-            and self.i != self.k
-        )
-
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.i, self.j, self.k)
 

@@ -26,6 +26,10 @@ EXIT_USAGE = 64
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        # no prefix matching, so a deleted option such as --mode is not read as --model
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message: str):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
@@ -37,27 +41,27 @@ def _add_exponents(parser: argparse.ArgumentParser, required: bool = True) -> No
     parser.add_argument("--k", type=int, required=required)
 
 
-def _add_instance_options(parser: argparse.ArgumentParser) -> None:
-    """What makes a search configuration, shared by `search` and `verify-word`."""
-    parser.add_argument("--m", type=int, required=True, help="alphabet size")
+def _add_pattern_options(parser: argparse.ArgumentParser) -> None:
+    """The forbidden set and permutation model, shared by the three avoidance commands."""
     parser.add_argument(
         "--forbidden", type=str, required=True, help="comma list of alpha indices, e.g. 1,2,4,6,7"
     )
-    parser.add_argument("--model", choices=[m.value for m in PermModel], default="all")
-    parser.add_argument("--mode", choices=["abstract", "fixed"], default="abstract")
+    parser.add_argument(
+        "--model",
+        choices=[m.value for m in PermModel],
+        default="all",
+        help="permutations that may stand for f",
+    )
+
+
+def _add_instance_options(parser: argparse.ArgumentParser) -> None:
+    """What makes a search configuration, shared by `search` and `verify-word`.
+
+    Giving --i, --j and --k fixes the exponents; without them they range freely.
+    """
+    parser.add_argument("--m", type=int, required=True, help="alphabet size")
+    _add_pattern_options(parser)
     _add_exponents(parser, required=False)
-    parser.add_argument(
-        "--keep-all-equal",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="also forbid four equal blocks (a 4-power)",
-    )
-    parser.add_argument(
-        "--gapped-square-completion",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="forbid 0101 whenever a gapped-square representation is forbidden",
-    )
 
 
 def _add_verbose(parser: argparse.ArgumentParser) -> None:
@@ -109,13 +113,9 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="builtin name (h-alpha, thue-morse, ternary-thue) or JSON file path",
     )
-    verify_morphic_cmd.add_argument("--forbidden", type=str, required=True)
-    verify_morphic_cmd.add_argument("--model", choices=[m.value for m in PermModel], default="all")
+    _add_pattern_options(verify_morphic_cmd)
     verify_morphic_cmd.add_argument("--umax", type=int, default=30, help="largest block length")
     verify_morphic_cmd.add_argument("--len", type=int, default=3000, dest="length")
-    verify_morphic_cmd.add_argument(
-        "--max-positions", type=int, default=None, help="cap on examined factor end positions"
-    )
     _add_verbose(verify_morphic_cmd)
 
     return parser
@@ -134,19 +134,21 @@ def _exponents_from(args: argparse.Namespace) -> PatternExponents:
     return PatternExponents(args.i, args.j, args.k)
 
 
+def _optional_exponents(args: argparse.Namespace) -> PatternExponents | None:
+    """The exponents when any of --i, --j, --k is given (then all three must be), else None."""
+    if args.i is None and args.j is None and args.k is None:
+        return None
+    return _exponents_from(args)
+
+
 def _search_config(args: argparse.Namespace, **caps) -> SearchConfig:
     params = _parse_params(args.forbidden)
-    exponents = None
-    if args.mode == "fixed":
-        exp = _exponents_from(args)
-        exponents = exp.as_tuple()
+    exponents = _optional_exponents(args)
     return SearchConfig.for_params(
         alphabet=args.m,
         params=params,
         model=PermModel(args.model),
-        exponents=exponents,
-        include_all_equal=args.keep_all_equal,
-        gapped_square_completion=args.gapped_square_completion,
+        exponents=exponents.as_tuple() if exponents is not None else None,
         **caps,
     )
 
@@ -172,9 +174,7 @@ def _run_classify(args) -> tuple[dict, int]:
 
 def _run_families(args) -> tuple[dict, int]:
     ids = [args.family] if args.family is not None else list(FAMILY_IDS)
-    exponents = None
-    if args.i is not None or args.j is not None or args.k is not None:
-        exponents = _exponents_from(args)
+    exponents = _optional_exponents(args)
     families = {}
     for family_id in ids:
         sets = []
@@ -200,7 +200,10 @@ def _run_search(args) -> tuple[dict, int]:
 
 def _run_verify_word(args) -> tuple[dict, int]:
     config = _search_config(args)
-    word = Word.parse(args.word, alphabet=args.m)
+    try:
+        word = Word.parse(args.word, alphabet=args.m)
+    except ValueError as exc:
+        raise ValueError(f"--word: {exc}") from None
     witness = verify_word_avoids(word, config)
     if witness is None:
         return {"status": "avoids", "word": word.text()}, EXIT_OK
@@ -216,10 +219,8 @@ def _run_verify_morphic(args) -> tuple[dict, int]:
         PermModel(args.model),
         max_block_length=args.umax,
         prefix_length=args.length,
-        max_positions=args.max_positions,
     )
-    code = EXIT_INCONCLUSIVE if certificate.status == "partial" else EXIT_OK
-    return certificate.as_json(), code
+    return certificate.as_json(), EXIT_OK
 
 
 _HANDLERS = {

@@ -284,7 +284,7 @@ def sigma(e) -> tuple[int | float, ParamSet]:
     business of :func:`classify`.
     """
     exp = e if isinstance(e, PatternExponents) else PatternExponents(*e)
-    if not exp.is_valid_for_sigma:
+    if _degenerate_case(exp) != _DEGENERATE_NONE:
         raise ValueError(
             "sigma requires positive pairwise-distinct exponents; use classify for degenerate triples"
         )

@@ -140,14 +140,10 @@ _GAPPED_SQUARE_REPS = frozenset({"0102", "0121"})
 _TWO_GAPPED_SQUARES = "0101"
 
 
-def forbidden_patterns(
-    params: Iterable[int],
-    include_all_equal: bool = True,
-    gapped_square_completion: bool = True,
-) -> frozenset[str]:
+def forbidden_patterns(params: Iterable[int]) -> frozenset[str]:
     """Equality patterns forbidden for a parameter index set.
 
-    Two closure rules apply by default.  Four equal blocks form a 4-power
+    Two closure rules always apply.  Four equal blocks form a 4-power
     u u u u, which is an instance of the pattern for every choice of
     exponents (take powers that fix u), so the all-equal pattern is forbidden
     alongside the representations.  And when the set carries a gapped-square
@@ -155,12 +151,11 @@ def forbidden_patterns(
     a factor u v u v whose halves are power-related exhibits the gapped
     square on both position pairs simultaneously, and letting it escape the
     ban because of the extra coincidence would lengthen the search's maximal
-    words beyond the values the avoidance bounds rest on.
+    words beyond the values the avoidance bounds rest on.  A
+    :class:`SearchConfig` built from explicit patterns searches without them.
     """
-    patterns = {REPRESENTATIONS[a] for a in params}
-    if include_all_equal:
-        patterns.add(ALL_EQUAL)
-    if gapped_square_completion and patterns & _GAPPED_SQUARE_REPS:
+    patterns = {REPRESENTATIONS[a] for a in params} | {ALL_EQUAL}
+    if patterns & _GAPPED_SQUARE_REPS:
         patterns.add(_TWO_GAPPED_SQUARES)
     return frozenset(patterns)
 
@@ -198,14 +193,12 @@ class SearchConfig:
         params: Iterable[int],
         model: PermModel = PermModel.ALL_PERMUTATIONS,
         exponents: tuple[int, int, int] | None = None,
-        include_all_equal: bool = True,
-        gapped_square_completion: bool = True,
         length_cap: int = 400,
         node_budget: int = 100_000_000,
     ) -> "SearchConfig":
         return cls(
             alphabet=alphabet,
-            forbidden=forbidden_patterns(params, include_all_equal, gapped_square_completion),
+            forbidden=forbidden_patterns(params),
             model=model,
             exponents=exponents,
             length_cap=length_cap,

@@ -202,7 +202,7 @@ class AvoidanceCertificate:
     max_block_length: int
     forbidden_params: tuple[int, ...]
     model: PermModel
-    status: str  # "clean" | "witness" | "partial"
+    status: str  # "clean" | "witness"
     witness: InstanceWitness | None = None
     gap_without_full_image: int | None = None
     checked_prefix_length: int | None = None
@@ -231,17 +231,9 @@ def verify_prefix_avoids(
     model: PermModel,
     max_block_length: int,
     prefix_length: int,
-    max_positions: int | None = None,
 ) -> AvoidanceCertificate:
-    """Exhaustively check every factor of the prefix up to the block-length bound.
-
-    ``max_positions`` caps how many factor end positions are examined; when it
-    stops the scan short the certificate reports status "partial" with the
-    prefix length actually covered.
-    """
-    if max_block_length < 1 or prefix_length < 1 or (
-        max_positions is not None and max_positions < 1
-    ):
+    """Exhaustively check every factor of the prefix up to the block-length bound."""
+    if max_block_length < 1 or prefix_length < 1:
         raise ValueError("bounds must be positive")
     params = tuple(sorted(set(forbidden_params)))
     if any(a not in ALPHA_INDICES for a in params):
@@ -250,14 +242,9 @@ def verify_prefix_avoids(
     config = SearchConfig.for_params(
         alphabet=spec.target_alphabet, params=params, model=model
     )
-    # The k-th examined end position is k + 3, so a cap of P positions covers
-    # exactly the factors of the first P + 3 letters.
-    checked = letters if max_positions is None else letters[: max_positions + 3]
-    witness = verify_word_avoids(checked, config, max_block=max_block_length)
+    witness = verify_word_avoids(letters, config, max_block=max_block_length)
     if witness is not None:
         status, checked_length = "witness", witness.start + 4 * witness.block_length
-    elif len(checked) < len(letters):
-        status, checked_length = "partial", len(checked)
     else:
         status, checked_length = "clean", prefix_length
     return AvoidanceCertificate(

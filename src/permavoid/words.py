@@ -42,12 +42,14 @@ WordLike = Union["Word", bytes, bytearray, str, Sequence[int]]
 
 def parse_letters(text: str) -> bytes:
     """Parse a word from digit text ("0120") or delimited form ("0,12,3")."""
-    text = text.strip()
-    if not text:
-        return b""
-    if "," in text:
-        return bytes(int(part) for part in text.split(","))
-    return bytes(int(ch) for ch in text)
+    stripped = text.strip()
+    parts = stripped.split(",") if "," in stripped else stripped
+    try:
+        return bytes(int(part) for part in parts)
+    except ValueError:
+        raise ValueError(
+            f"cannot parse letters {text!r}: expected digits or comma-separated integers in 0..255"
+        ) from None
 
 
 def format_letters(letters: bytes, alphabet: int) -> str:
@@ -176,15 +178,8 @@ class Morphism:
 
     __slots__ = ("images", "source_alphabet", "target_alphabet")
 
-    def __init__(
-        self,
-        images: Mapping[int, WordLike] | Sequence[WordLike],
-        target_alphabet: int | None = None,
-    ):
-        if isinstance(images, Mapping):
-            pairs = {int(k): as_letters(v) for k, v in images.items()}
-        else:
-            pairs = {a: as_letters(v) for a, v in enumerate(images)}
+    def __init__(self, images: Mapping[int, WordLike], target_alphabet: int | None = None):
+        pairs = {int(k): as_letters(v) for k, v in images.items()}
         source = len(pairs)
         if sorted(pairs) != list(range(source)) or source == 0:
             raise ValueError("images must be given for every letter 0..m-1 of the source alphabet")

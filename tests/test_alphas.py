@@ -169,11 +169,23 @@ class TestExponents:
         with pytest.raises(ValueError):
             PatternExponents(1, -1, 2)
 
-    def test_validity_predicate(self):
-        assert PatternExponents(1, 2, 3).is_valid_for_sigma
-        assert not PatternExponents(0, 2, 3).is_valid_for_sigma
-        assert not PatternExponents(2, 2, 3).is_valid_for_sigma
-        assert not PatternExponents(2, 3, 2).is_valid_for_sigma
+    def test_sigma_and_classify_agree_on_degeneracy(self):
+        # one decision: degenerate case "none" holds exactly for positive,
+        # pairwise-distinct exponents, and sigma accepts exactly those
+        assert families.sigma(PatternExponents(1, 2, 3))[0] == INFINITY
+        for e in [(0, 2, 3), (2, 2, 3), (2, 3, 2)]:
+            with pytest.raises(ValueError, match="pairwise-distinct"):
+                families.sigma(PatternExponents(*e))
+            assert families.classify(e).degenerate_case != "none"
+        for e in product(range(13), repeat=3):
+            positive_distinct = min(e) >= 1 and len(set(e)) == 3
+            assert (families.classify(e).degenerate_case == "none") == positive_distinct, e
+            try:
+                families.sigma(e)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == positive_distinct, e
 
 
 def equal_pairs(pattern: str) -> set[tuple[int, int]]:

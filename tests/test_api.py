@@ -37,6 +37,7 @@ DELETED_NAMES = {
 
 DELETED_METHODS = {
     "AlphaProfile": ["rep"],  # REPRESENTATIONS[a]
+    "PatternExponents": ["is_valid_for_sigma"],  # classify(e).degenerate_case == "none"
     "Word": ["__add__"],
     "Morphism": ["apply", "__call__"],
     "Permutation": [
@@ -83,6 +84,31 @@ def test_deleted_methods_are_gone(capsys):
     assert list(inspect.signature(permavoid.longest_avoiding_word).parameters) == ["config"]
     assert main(["alphas", "--i", "1", "--j", "2", "--k", "3", "--format", "text"]) == 64
     assert "unrecognized arguments: --format" in capsys.readouterr().err
+
+
+def test_deleted_options_are_gone(capsys):
+    # the exponents decide fixed mode, both closure rules always apply, and
+    # --len bounds a certificate's scan
+    search = ["search", "--m", "3", "--forbidden", "1"]
+    verify_word = ["verify-word", "--word", "0000", "--m", "2", "--forbidden", "1"]
+    verify_morphic = ["verify-morphic", "--spec", "h-alpha", "--forbidden", "2"]
+    for command, deleted in (
+        (search, ["--mode", "fixed"]),
+        (search, ["--mode", "abstract"]),
+        (search, ["--keep-all-equal"]),
+        (search, ["--no-gapped-square-completion"]),
+        (verify_word, ["--no-keep-all-equal"]),
+        (verify_morphic, ["--max-positions", "5"]),
+    ):
+        assert main(command + deleted) == 64, deleted
+        assert f"unrecognized arguments: {' '.join(deleted)}" in capsys.readouterr().err
+    assert list(inspect.signature(permavoid.forbidden_patterns).parameters) == ["params"]
+    assert list(inspect.signature(permavoid.SearchConfig.for_params).parameters) == [
+        "alphabet", "params", "model", "exponents", "length_cap", "node_budget",
+    ]
+    assert "max_positions" not in inspect.signature(permavoid.verify_prefix_avoids).parameters
+    with pytest.raises(AttributeError):
+        permavoid.Morphism(["01", "10"])  # images come as a mapping only
 
 
 def _perfbench_imports():

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -10,6 +11,8 @@ import permavoid
 from permavoid.cli import main
 
 PAPER_WITNESS = "010210210210033001133001133001133000"
+ALL_PARAMS = ",".join(map(str, range(1, 15)))
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_json(capsys, argv):
@@ -116,6 +119,23 @@ class TestSearchCommand:
         assert code == 2
         assert report["result"]["exhausted"] is False
 
+    def test_fixed_exponents(self, capsys):
+        # giving --i, --j and --k fixes the exponents: (1, 7, 4) is unavoidable at m = 7
+        code, report = run_json(
+            capsys,
+            ["search", "--m", "7", "--forbidden", ALL_PARAMS, "--model", "all",
+             "--i", "1", "--j", "7", "--k", "4", "--cap", "300", "--budget", "300000"],
+        )
+        assert code == 0
+        result = report["result"]
+        assert (result["max_length_found"], result["exhausted"], result["nodes_visited"]) == (
+            10,
+            True,
+            235,
+        )
+        assert result["witness_word"] == "0001010100"
+        assert (report["config"]["i"], report["config"]["j"], report["config"]["k"]) == (1, 7, 4)
+
     def test_bad_forbidden_list(self, capsys):
         code = main(["search", "--m", "3", "--forbidden", "1,99"])
         assert code == 1
@@ -140,6 +160,19 @@ class TestVerifyWordCommand:
         assert report["result"]["status"] == "instance"
         assert report["result"]["witness"]["pattern"] == "0000"
 
+    def test_fixed_exponents_reported(self, capsys):
+        # fixed exponents are reported as given, not reduced modulo the order
+        for exponents in ([1, 2, 3], [5, 6, 7]):
+            code, report = run_json(
+                capsys,
+                ["verify-word", "--word", "0123", "--m", "4", "--forbidden", "1", "--model",
+                 "cycle", "--i", str(exponents[0]), "--j", str(exponents[1]),
+                 "--k", str(exponents[2])],
+            )
+            assert code == 0
+            assert report["result"]["status"] == "instance"
+            assert report["result"]["witness"]["exponents"] == exponents
+
 
 class TestVerifyMorphicCommand:
     def test_builtin_spec_clean(self, capsys):
@@ -150,15 +183,6 @@ class TestVerifyMorphicCommand:
         )
         assert code == 0
         assert report["result"]["status"] == "clean"
-
-    def test_partial_exits_inconclusive(self, capsys):
-        code, report = run_json(
-            capsys,
-            ["verify-morphic", "--spec", "ternary-thue", "--forbidden", "6,9,10",
-             "--model", "all", "--umax", "6", "--len", "400", "--max-positions", "10"],
-        )
-        assert code == 2
-        assert report["result"]["status"] == "partial"
 
     def test_spec_file(self, capsys, tmp_path):
         from permavoid.verifier import h_alpha_spec
@@ -278,6 +302,27 @@ class TestDomainErrors:
             capsys, ["verify-morphic", "--spec", str(path), "--forbidden", "10"]
         )
         assert err == f"permavoid: error: spec file {path}: 'name' must be a string, got [1]\n"
+        path.write_text('{"base": {"0": "0,300", "1": "10"}, "seed": 0}', encoding="utf-8")
+        err = self.assert_one_line_error(
+            capsys, ["verify-morphic", "--spec", str(path), "--forbidden", "10"]
+        )
+        assert err.startswith(
+            f"permavoid: error: spec file {path}: 'base': cannot parse letters '0,300': "
+        )
+
+    def test_unparsable_word(self, capsys):
+        for text in ("01a", "0,,1", "0,300"):
+            err = self.assert_one_line_error(
+                capsys, ["verify-word", "--word", text, "--m", "4", "--forbidden", "1"]
+            )
+            assert err.startswith(f"permavoid: error: --word: cannot parse letters {text!r}: ")
+
+    def test_incomplete_exponents(self, capsys):
+        for command in (["search", "--m", "3", "--forbidden", "1"],
+                        ["verify-word", "--word", "0120", "--m", "3", "--forbidden", "1"]):
+            for given in (["--i", "1"], ["--i", "1", "--j", "2"]):
+                err = self.assert_one_line_error(capsys, command + given)
+                assert err == "permavoid: error: this command needs --i, --j and --k\n"
 
     def test_exponent_above_cap(self, capsys):
         err = self.assert_one_line_error(
@@ -307,20 +352,56 @@ class TestCliContract:
         assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
 
     def test_round_trip_config_enables_reproduction(self, capsys):
-        _, report = run_json(
-            capsys, ["search", "--m", "2", "--forbidden", "1,2,3", "--cap", "30"]
-        )
-        config = report["config"]
-        argv = [
-            "search", "--m", str(config["m"]), "--forbidden", config["forbidden"],
-            "--model", config["model"], "--cap", str(config["cap"]),
+        abstract = ["search", "--m", "3", "--forbidden", ALL_PARAMS, "--cap", "30"]
+        runs = [
+            ["search", "--m", "2", "--forbidden", "1,2,3", "--cap", "30"],
+            abstract,
+            abstract + ["--i", "2", "--j", "4", "--k", "1"],
         ]
-        _, again = run_json(capsys, argv)
-        assert again["result"] == report["result"]
+        results = []
+        for argv in runs:
+            _, report = run_json(capsys, argv)
+            config = report["config"]
+            again_argv = [
+                "search", "--m", str(config["m"]), "--forbidden", config["forbidden"],
+                "--model", config["model"], "--cap", str(config["cap"]),
+                "--budget", str(config["budget"]),
+            ]
+            for name in ("i", "j", "k"):
+                if config[name] is not None:
+                    again_argv += [f"--{name}", str(config[name])]
+            _, again = run_json(capsys, again_argv)
+            assert again["result"] == report["result"]
+            results.append(report["result"])
+        # the echoed exponents are what made the fixed run differ from the abstract one
+        assert results[2]["max_length_found"] == 30 != results[1]["max_length_found"]
 
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
         assert "permavoid" in capsys.readouterr().out
+
+
+class TestReadmeCommands:
+    """Every `permavoid ...` line of README's command examples runs as documented."""
+
+    def readme_commands(self):
+        text = README.read_text(encoding="utf-8").replace("\\\n", " ")
+        blocks = re.findall(r"```sh\n(.*?)```", text, flags=re.S)
+        return [
+            shlex.split(line)[1:]
+            for block in blocks
+            for line in block.splitlines()
+            if line.startswith("permavoid ")
+        ]
+
+    def test_readme_commands_run(self, capsys):
+        commands = self.readme_commands()
+        assert len(commands) >= 8
+        for argv in commands:
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code in (0, 2), (argv, captured.err)
+            assert json.loads(captured.out)["command"] == argv[0]
 
 
 class TestModuleEntryPoint:

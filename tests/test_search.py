@@ -96,9 +96,23 @@ class TestForbiddenPatterns:
         assert "0101" in forbidden_patterns({3})
         assert "0101" not in forbidden_patterns({1, 2, 6, 7})
 
-    def test_optional_rules_disabled(self):
-        bare = forbidden_patterns({4}, include_all_equal=False, gapped_square_completion=False)
-        assert bare == frozenset({"0121"})
+    def test_completion_anchor(self):
+        # RULES.md: without the 0101 completion the family-1 anchor search over
+        # four letters reaches 42 letters instead of 36
+        assert forbidden_patterns({4}) == frozenset({"0121", "0000", "0101"})
+        config = SearchConfig(
+            alphabet=4,
+            forbidden=forbidden_patterns({1, 2, 4, 6, 7}) - {"0101"},
+            model=PermModel.FULL_CYCLE,
+            length_cap=60,
+        )
+        result = longest_avoiding_word(config)
+        assert (result.max_length_found, result.exhausted, result.nodes_visited) == (
+            42,
+            True,
+            192_988,
+        )
+        assert result.witness_word.text() == "010102102102100110011002211002211002211000"
 
 
 class TestSuffixInstance:

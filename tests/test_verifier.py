@@ -89,6 +89,11 @@ class TestVerifyPrefixAvoids:
         assert certificate.status == "clean"
         assert certificate.gap_without_full_image is None
         assert certificate.checked_prefix_length == 5000
+        # a prefix shorter than four letters holds no factor to check and is clean
+        short = verify_prefix_avoids(
+            load_spec("ternary-thue"), [6, 9, 10], PermModel.ALL_PERMUTATIONS, 5, 3
+        )
+        assert (short.status, short.checked_prefix_length) == ("clean", 3)
 
     def test_alternating_word_yields_witness(self):
         spec = MorphicWordSpec(Morphism({0: "01", 1: "01"}), 0)
@@ -102,32 +107,6 @@ class TestVerifyPrefixAvoids:
         assert witness.blocks == (b"\x00", b"\x01", b"\x00", b"\x01")
         assert witness.pattern == "0101"
         assert certificate.checked_prefix_length == 4
-
-    def test_position_cap_gives_partial_status(self):
-        certificate = verify_prefix_avoids(
-            load_spec("ternary-thue"),
-            [6, 9, 10],
-            PermModel.ALL_PERMUTATIONS,
-            max_block_length=5,
-            prefix_length=600,
-            max_positions=50,
-        )
-        assert certificate.status == "partial"
-        assert certificate.checked_prefix_length == 53
-
-    def test_position_cap_boundary(self):
-        # P positions are the end positions 4 .. P + 3, so a prefix of exactly
-        # P + 3 letters is fully checked and one letter more is not
-        def certify(length, max_positions):
-            return verify_prefix_avoids(
-                load_spec("ternary-thue"), [6, 9, 10], PermModel.ALL_PERMUTATIONS,
-                max_block_length=5, prefix_length=length, max_positions=max_positions,
-            )
-
-        full, short = certify(20, 17), certify(20, 16)
-        assert (full.status, full.checked_prefix_length) == ("clean", 20)
-        assert (short.status, short.checked_prefix_length) == ("partial", 19)
-        assert certify(3, 1).status == "clean"
 
     def test_h_alpha_clean_one_past_the_gap(self):
         # blocks one letter longer than the widest image-free factor stay clean
@@ -156,11 +135,11 @@ class TestVerifyPrefixAvoids:
             verify_prefix_avoids(
                 load_spec("ternary-thue"), [0, 3], PermModel.ALL_PERMUTATIONS, 5, 100
             )
-        for max_positions in (0, -5):
+        for max_block_length, prefix_length in ((0, 100), (5, 0), (-5, 100)):
             with pytest.raises(ValueError, match="bounds must be positive"):
                 verify_prefix_avoids(
-                    load_spec("ternary-thue"), [3], PermModel.ALL_PERMUTATIONS, 5, 100,
-                    max_positions=max_positions,
+                    load_spec("ternary-thue"), [3], PermModel.ALL_PERMUTATIONS,
+                    max_block_length, prefix_length,
                 )
 
     def test_detector_cross_check_on_h_alpha_factors(self):
