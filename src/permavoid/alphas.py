@@ -12,10 +12,14 @@ a-th canonical representation, or infinity when no t achieves it.  The
 pattern at t depends only on which of the six differences i, j, k, j - i,
 k - i, k - j t divides, so it can change only at divisors of the nonzero
 differences; every t that divides none of them gives one and the same
-pattern.  :func:`profile` therefore visits, in ascending order, the divisors
-of the nonzero differences (trial division up to the square root) and the
-least t dividing none of them, and keeps the first t seen for each pattern.
-Exponents above ``MAX_EXPONENT`` are rejected, which bounds that work.
+pattern.  :func:`profile` therefore visits only the divisors of the nonzero
+differences and the least t dividing none of them.  It walks them from the
+largest to the smallest and writes each t into the alpha slot of its
+pattern, so the least t giving a pattern is the one that stays.  Each
+difference's divisors come from a bounded cache keyed by the difference
+(trial division up to the square root on a miss); profiles themselves are
+not cached, as each is cheap to rebuild from those divisors.  Exponents above
+``MAX_EXPONENT`` are rejected, which bounds the trial division.
 The convention t | 0 for every t >= 1 is used throughout (so items with
 equal exponents can never be assigned distinct digits).
 
@@ -203,36 +207,42 @@ def _equality_mask(pattern: str) -> int:
 _REPRESENTATION_MASKS = tuple(_equality_mask(REPRESENTATIONS[a]) for a in ALPHA_INDICES)
 
 
-@lru_cache(maxsize=65536)
-def _profile_cached(i: int, j: int, k: int) -> AlphaProfile:
-    exp = PatternExponents(i, j, k)
+#: Alpha slot (a - 1) of each representation's divisibility mask.
+_SLOT_OF_MASK = {mask: slot for slot, mask in enumerate(_REPRESENTATION_MASKS)}
+
+
+@lru_cache(maxsize=4096)
+def _divisors(d: int) -> tuple[int, ...]:
+    """Divisors of ``d >= 1`` in ascending order, by trial division up to the square root."""
+    small = [t for t in range(1, math.isqrt(d) + 1) if d % t == 0]
+    return tuple(small + [d // t for t in reversed(small) if t * t != d])
+
+
+def profile(e) -> AlphaProfile:
+    exp = _exponents(e)
+    i, j, k = exp.i, exp.j, exp.k
+    if max(i, j, k) > MAX_EXPONENT:
+        raise ValueError(f"exponents must be at most {MAX_EXPONENT:,}, got {exp.as_tuple()}")
     zero_mask = 0
     masks: dict[int, int] = {}  # divisor t -> the differences it divides
     for pos, d in enumerate((i, j, k, j - i, k - i, k - j)):
         bit = 1 << pos
-        d = abs(d)
         if d == 0:
             zero_mask |= bit
             continue
-        small = [t for t in range(1, math.isqrt(d) + 1) if d % t == 0]
-        for t in small + [d // t for t in small]:
+        for t in _divisors(abs(d)):
             masks[t] = masks.get(t, 0) | bit
     first_free = 1
     while first_free in masks:
         first_free += 1
     masks[first_free] = 0
-    first_seen: dict[int, int] = {}
-    for t in sorted(masks):
-        first_seen.setdefault(masks[t] | zero_mask, t)
-    values = tuple(first_seen.get(mask, INFINITY) for mask in _REPRESENTATION_MASKS)
-    return AlphaProfile(exp, values)
-
-
-def profile(e) -> AlphaProfile:
-    exp = _exponents(e)
-    if max(exp.i, exp.j, exp.k) > MAX_EXPONENT:
-        raise ValueError(f"exponents must be at most {MAX_EXPONENT:,}, got {exp.as_tuple()}")
-    return _profile_cached(exp.i, exp.j, exp.k)
+    values: list[int | float] = [INFINITY] * len(REPRESENTATIONS)
+    # descending, so the least t giving a representation is written last
+    for t in sorted(masks, reverse=True):
+        slot = _SLOT_OF_MASK.get(masks[t] | zero_mask)
+        if slot is not None:
+            values[slot] = t
+    return AlphaProfile(exp, tuple(values))
 
 
 def realizable(a: int, e, m: int) -> bool:

@@ -11,13 +11,22 @@ restriction and exclusion changes its family's output, and no family needs
 a size filter: its groups already fix the size.  RULES.md documents the
 reading pinned for each restriction and the regression anchors that fix it.
 
-``sigma(e)`` evaluates every generated set at the alpha profile of ``e`` by
-the maximum of its members (infinity-absorbing) and returns the minimum over
-all sets together with one witnessing set.  For exponent triples that are
-positive and pairwise distinct this bound classifies avoidability:
-alphabets of size up to sigma - 1 admit avoiding words, alphabets of size
-sigma + 1 and beyond do not, and size sigma itself needs individual
-analysis.
+``sigma(e)`` is the minimum over all generated sets of the maximum alpha
+value of their members (infinity-absorbing), returned with the first set in
+:func:`all_unavoidable_sets` order that attains it.  It is decided on the
+subset lattice of the fourteen indices: walking the distinct finite alpha
+values m of the profile in ascending order, the index mask
+{a : alpha_a <= m} grows, and sigma is the least m whose mask contains a
+whole set (infinity when none ever does).  Every set inside that mask has
+maximum exactly m, as a smaller maximum would have put it inside an earlier
+mask, so the first set inside the mask is the first set attaining the
+minimum.  Which set a mask first contains is memoised per mask (at most
+2**14 of them).
+
+For exponent triples that are positive and pairwise distinct this bound
+classifies avoidability: alphabets of size up to sigma - 1 admit avoiding
+words, alphabets of size sigma + 1 and beyond do not, and size sigma itself
+needs individual analysis.
 """
 
 from __future__ import annotations
@@ -25,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from operator import itemgetter
 from typing import Callable, Iterable
 
 from .alphas import (
@@ -260,15 +268,22 @@ def all_unavoidable_sets() -> tuple[ParamSet, ...]:
 
 
 @lru_cache(maxsize=1)
-def _compiled_sets() -> tuple[tuple[ParamSet, ...], tuple[Callable, ...]]:
-    """The sets of :func:`all_unavoidable_sets` with one getter per set.
+def _set_masks() -> tuple[int, ...]:
+    """One mask per set of :func:`all_unavoidable_sets`, with bit a - 1 for member a."""
+    return tuple(sum(1 << (a - 1) for a in s) for s in all_unavoidable_sets())
 
-    Each getter picks the set's members, as 0-based slots, out of
-    ``AlphaProfile.values``; every set has at least five members, so it
-    returns a tuple.
+
+@lru_cache(maxsize=None)
+def _first_set_within(mask: int) -> int:
+    """Index of the first set of :func:`all_unavoidable_sets` inside ``mask``, or -1.
+
+    Bit a - 1 of ``mask`` stands for alpha_a; a set lies inside the mask when
+    the bits of all its members are set.  There are at most 2**14 masks.
     """
-    sets = all_unavoidable_sets()
-    return sets, tuple(itemgetter(*(a - 1 for a in sorted(s))) for s in sets)
+    for index, set_mask in enumerate(_set_masks()):
+        if set_mask & mask == set_mask:
+            return index
+    return -1
 
 
 def set_max(s: ParamSet, e) -> int | float:
@@ -280,20 +295,29 @@ def set_max(s: ParamSet, e) -> int | float:
 def sigma(e) -> tuple[int | float, ParamSet]:
     """Minimum over all generated sets of their maximum alpha value, with a witness.
 
-    Requires positive pairwise-distinct exponents; degenerate triples are the
-    business of :func:`classify`.
+    The witness is the first set attaining the minimum, or the first set when
+    sigma is infinite.  Requires positive pairwise-distinct exponents;
+    degenerate triples are the business of :func:`classify`.
     """
     exp = e if isinstance(e, PatternExponents) else PatternExponents(*e)
     if _degenerate_case(exp) != _DEGENERATE_NONE:
         raise ValueError(
             "sigma requires positive pairwise-distinct exponents; use classify for degenerate triples"
         )
-    values = profile(exp).values
-    sets, getters = _compiled_sets()
-    maxima = [max(getter(values)) for getter in getters]
-    best = min(maxima)
-    # the first set attaining the minimum; sets[0] when sigma is infinite
-    return best, sets[maxima.index(best)]
+    slots_at: dict[int | float, int] = {}  # alpha value -> mask of the slots holding it
+    for slot, value in enumerate(profile(exp).values):
+        slots_at[value] = slots_at.get(value, 0) | 1 << slot
+    sets = all_unavoidable_sets()
+    mask = 0
+    for value in sorted(slots_at):
+        if value == INFINITY:
+            break
+        mask |= slots_at[value]
+        index = _first_set_within(mask)
+        if index >= 0:
+            # every set inside the mask has maximum exactly ``value``, the least one
+            return value, sets[index]
+    return INFINITY, sets[0]
 
 
 _DEGENERATE_NONE = "none"

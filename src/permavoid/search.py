@@ -143,10 +143,14 @@ _TWO_GAPPED_SQUARES = "0101"
 def forbidden_patterns(params: Iterable[int]) -> frozenset[str]:
     """Equality patterns forbidden for a parameter index set.
 
-    Two closure rules always apply.  Four equal blocks form a 4-power
-    u u u u, which is an instance of the pattern for every choice of
-    exponents (take powers that fix u), so the all-equal pattern is forbidden
-    alongside the representations.  And when the set carries a gapped-square
+    Two closure rules always apply.  The all-equal pattern is forbidden
+    alongside the representations: four equal blocks form a 4-power
+    u u u u, which is an instance in abstract mode (f^order fixes u) and,
+    under the ``all`` model, for any exponents (the identity fixes u).  With
+    fixed exponents under ``cycle`` or ``fixcycle`` it is an instance only
+    when some model permutation's i-th, j-th and k-th powers all fix u, so
+    there a word of one repeated letter can avoid the pattern.  And when the
+    set carries a gapped-square
     representation, the two-gapped-squares pattern 0101 is forbidden as well:
     a factor u v u v whose halves are power-related exhibits the gapped
     square on both position pairs simultaneously, and letting it escape the

@@ -90,3 +90,18 @@ def oracle_longest_avoiding_word(m, tables, forbidden, exponents, cap, budget, p
 
     grow([], -1)
     return len(best), best, not stopped, nodes
+
+
+def oracle_first_set_within(sets, mask):
+    """Index of the first set whose members a all have bit a - 1 of ``mask`` set, or -1."""
+    for index, s in enumerate(sets):
+        if all(mask >> (a - 1) & 1 for a in s):
+            return index
+    return -1
+
+
+def oracle_minmax(values, sets):
+    """(least over ``sets`` of the largest ``values[a - 1]`` of a member a, first set attaining it)."""
+    maxima = [max(values[a - 1] for a in s) for s in sets]
+    best = min(maxima)
+    return best, sets[maxima.index(best)]

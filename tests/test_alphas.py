@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permavoid import families
+from permavoid import alphas, families
 from permavoid.alphas import (
     ALL_PATTERNS,
     ALPHA_INDICES,
@@ -155,6 +155,15 @@ class TestDivisorProfile:
         for _ in range(100):
             e = tuple(rng.randint(0, 3000) for _ in range(3))
             assert profile(e).values == scan_profile(e), e
+
+    def test_divisors_match_definition(self):
+        for d in range(1, 3001):
+            assert alphas._divisors(d) == tuple(t for t in range(1, d + 1) if d % t == 0), d
+
+    def test_profile_keeps_the_given_exponents(self):
+        e = PatternExponents(3, 7, 6)
+        assert profile(e).exponents is e
+        assert profile((3, 7, 6)) == profile(e)
 
     def test_exponent_cap(self):
         # 10**12 is divisible by 4 and 5; mod 6 the items are 0, 4, 2, 3

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 import re
 from dataclasses import replace
@@ -25,6 +26,10 @@ from permavoid.families import (
     set_max,
     sigma,
 )
+
+from oracles import oracle_first_set_within, oracle_minmax
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 #: The worked example set of each family.
 KNOWN_MEMBERS = {
@@ -249,12 +254,28 @@ class TestSigma:
                 large.append(e)
         sets = all_unavoidable_sets()
         for e in rng.sample(grid, 500) + large + [(1, 2, 3)]:
-            values = scan_profile(e)
-            maxima = [max(values[a - 1] for a in s) for s in sets]
-            v = min(maxima)
-            first = next(s for s, m in zip(sets, maxima) if m == v)
-            assert sigma(e) == (v, first), e
+            assert sigma(e) == oracle_minmax(scan_profile(e), sets), e
         assert sigma((1, 2, 3)) == (INFINITY, sets[0])
+
+    def test_first_set_within_every_mask(self):
+        sets = all_unavoidable_sets()
+        for mask in range(1 << 14):
+            assert families._first_set_within(mask) == oracle_first_set_within(sets, mask), mask
+
+    def test_lattice_sigma_matches_minmax_on_grid_and_large_pool(self):
+        # the 30-grid and the benchmark's seeded pool of 1,000 large triples
+        grid = [
+            (i, j, k)
+            for i in range(1, 31)
+            for j in range(1, 31)
+            for k in range(1, 31)
+            if len({i, j, k}) == 3
+        ]
+        pool = [tuple(row[0]) for row in json.loads(REFERENCE.read_text())["large"]]
+        assert len(pool) == 1_000
+        sets = all_unavoidable_sets()
+        for e in grid + pool:
+            assert sigma(e) == oracle_minmax(profile(e).values, sets), e
 
     def test_minimum_at_least_four_sample(self):
         for e in [(3, 7, 6), (6, 3, 2), (1, 7, 4), (2, 9, 4)]:

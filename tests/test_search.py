@@ -96,6 +96,40 @@ class TestForbiddenPatterns:
         assert "0101" in forbidden_patterns({3})
         assert "0101" not in forbidden_patterns({1, 2, 6, 7})
 
+    @pytest.mark.parametrize(
+        "model, exponents, permutation",
+        [
+            (PermModel.FULL_CYCLE, (1, 2, 3), None),
+            (PermModel.FULL_CYCLE, (3, 6, 9), (1, 2, 0)),
+            (PermModel.FIX_ONE_POINT_CYCLE, (1, 2, 3), (0, 2, 1)),
+            (PermModel.ALL_PERMUTATIONS, (1, 2, 3), (0, 1, 2)),
+        ],
+    )
+    def test_all_equal_in_fixed_mode(self, model, exponents, permutation):
+        # uuuu is an instance only when some model permutation's i-th, j-th
+        # and k-th powers fix u; no 3-cycle's powers 1, 2, 3 all do
+        config = SearchConfig(
+            alphabet=3, forbidden=forbidden_patterns({1}), model=model, exponents=exponents
+        )
+        witness = verify_word_avoids("0000", config)
+        if permutation is None:
+            assert witness is None
+        else:
+            assert witness.permutation.images == permutation
+            assert (witness.exponents, witness.pattern) == (exponents, "0000")
+
+    def test_fixed_cycle_search_repeats_one_letter(self):
+        config = SearchConfig(
+            alphabet=3,
+            forbidden=forbidden_patterns({1, 2, 4, 6, 7}),
+            model=PermModel.FULL_CYCLE,
+            exponents=(1, 2, 3),
+            length_cap=30,
+        )
+        result = longest_avoiding_word(config)
+        assert result.witness_word.text() == "0" * 30
+        assert (result.max_length_found, result.exhausted, result.nodes_visited) == (30, False, 30)
+
     def test_completion_anchor(self):
         # RULES.md: without the 0101 completion the family-1 anchor search over
         # four letters reaches 42 letters instead of 36
