@@ -7,15 +7,14 @@ larger alphabets a comma-separated numeric form is used instead.
 
 Everything here is an immutable value after construction and every operation
 is a pure function, so objects can be shared between concurrent workers
-without coordination.
+without coordination.  The module needs only the standard library: the
+repetition checkers compare a word with its shifts as big integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence, Union
-
-import numpy as np
 
 __all__ = [
     "MAX_ALPHABET",
@@ -220,13 +219,16 @@ class Morphism:
             raise ValueError("length must be positive")
         if not self.is_prolongable(seed):
             raise ValueError(f"morphism is not prolongable on seed {seed}")
-        current = bytes([seed])
-        while len(current) < length:
-            grown = self.apply_letters(current)
-            if len(grown) <= len(current):
-                raise ValueError("morphism does not expand; fixed point prefix unreachable")
-            current = grown
-        return Word(current[:length], self.target_alphabet)
+        # the fixed point w is image(w[0]) image(w[1]) ...: read it as it grows
+        out = bytearray(self.image(seed))
+        i = 1
+        while len(out) < length:
+            out += self.image(out[i])
+            i += 1
+        prefix = bytes(out[:length])
+        if max(prefix) >= self.source_alphabet:  # no image, so no fixed point
+            raise ValueError(f"letter {max(prefix)} undefined for this morphism")
+        return Word(prefix, self.target_alphabet)
 
     def to_json_dict(self) -> dict[str, str]:
         return {
@@ -261,76 +263,44 @@ TERNARY_THUE_MORPHISM = Morphism({0: "012", 1: "02", 2: "1"})
 # ---------------------------------------------------------------------------
 # Repetition checkers.
 #
-# Each checker reduces every period to a longest-run computation over a
-# shift-equality mask.  The definitional factor scans below them are the test
-# oracle: the test suite calls them directly and compares.
+# Each checker reduces every period b to one question: do ``need`` consecutive
+# positions s satisfy w[s] == w[s+b]?  A factor of length b + r has period b
+# exactly when it starts a run of r such equalities.  The definitional factor
+# scans in the test oracles are compared with these checkers.
 # ---------------------------------------------------------------------------
 
 
-def _longest_true_run(mask: np.ndarray) -> int:
-    if mask.size == 0 or not mask.any():
-        return 0
-    if mask.all():
-        return int(mask.size)
-    false_at = np.flatnonzero(~mask)
-    gaps = np.diff(np.concatenate(([-1], false_at, [mask.size]))) - 1
-    return int(gaps.max())
-
-
-def _power_free_runs(letters: bytes, copies: int) -> bool:
-    data = np.frombuffer(letters, dtype=np.uint8)
-    n = data.size
-    for b in range(1, n // copies + 1):
-        # a run of r shift-b equalities starting at s gives w[s:s+b+r] period b
-        if _longest_true_run(data[:-b] == data[b:]) >= (copies - 1) * b:
-            return False
-    return True
-
-
-def _overlap_free_runs(letters: bytes) -> bool:
-    data = np.frombuffer(letters, dtype=np.uint8)
-    n = data.size
-    for b in range(1, (n - 1) // 2 + 1):
-        if _longest_true_run(data[:-b] == data[b:]) >= b + 1:
-            return False
-    return True
-
-
-def _power_free_scan(w: bytes, copies: int) -> bool:
+def _has_periodic_run(w: bytes, b: int, need: int) -> bool:
+    """True iff ``need`` consecutive positions s satisfy w[s] == w[s+b]."""
     n = len(w)
-    for s in range(n):
-        for b in range(1, (n - s) // copies + 1):
-            if w[s] != w[s + b]:
-                continue
-            if all(w[s + t * b : s + (t + 1) * b] == w[s : s + b] for t in range(1, copies)):
-                return False
-    return True
+    # equal letters XOR to a zero byte; the integers keep every byte in place
+    diff = int.from_bytes(w[: n - b], "big") ^ int.from_bytes(w[b:], "big")
+    return bytes(need) in diff.to_bytes(n - b, "big")
 
 
-def _overlap_free_scan(w: bytes) -> bool:
-    n = len(w)
-    for s in range(n):
-        for b in range(1, (n - s - 1) // 2 + 1):
-            if w[s] == w[s + b] and w[s : s + b + 1] == w[s + b : s + 2 * b + 1]:
-                return False
-    return True
+def _power_free(w: bytes, copies: int) -> bool:
+    return not any(
+        _has_periodic_run(w, b, (copies - 1) * b) for b in range(1, len(w) // copies + 1)
+    )
 
 
 def is_square_free(word: WordLike) -> bool:
     """True iff no factor uu with u nonempty occurs."""
-    return _power_free_runs(as_letters(word), 2)
+    return _power_free(as_letters(word), 2)
 
 
 def is_cube_free(word: WordLike) -> bool:
     """True iff no factor uuu with u nonempty occurs."""
-    return _power_free_runs(as_letters(word), 3)
+    return _power_free(as_letters(word), 3)
 
 
 def is_four_power_free(word: WordLike) -> bool:
     """True iff no factor uuuu with u nonempty occurs."""
-    return _power_free_runs(as_letters(word), 4)
+    return _power_free(as_letters(word), 4)
 
 
 def is_overlap_free(word: WordLike) -> bool:
     """True iff no factor of the form a v a v a (a a letter, v possibly empty) occurs."""
-    return _overlap_free_runs(as_letters(word))
+    w = as_letters(word)
+    # a v a v a is a factor of length 2b + 1 with period b = |a v|
+    return not any(_has_periodic_run(w, b, b + 1) for b in range(1, (len(w) - 1) // 2 + 1))

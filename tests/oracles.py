@@ -1,7 +1,7 @@
 """Slow, definitional oracles shared by the test modules.
 
-Each works on plain tuples and enumerates the definition directly.  From
-the library they use only ``canonical_pattern``, the first-occurrence
+Each works on plain tuples or bytes and enumerates the definition directly.
+From the library they use only ``canonical_pattern``, the first-occurrence
 labeling, never the matcher, its power tables or ``blocks_pattern``.
 """
 
@@ -105,3 +105,34 @@ def oracle_minmax(values, sets):
     maxima = [max(values[a - 1] for a in s) for s in sets]
     best = min(maxima)
     return best, sets[maxima.index(best)]
+
+
+def oracle_power_free(w: bytes, copies: int) -> bool:
+    n = len(w)
+    for s in range(n):
+        for b in range(1, (n - s) // copies + 1):
+            if w[s] != w[s + b]:
+                continue
+            if all(w[s + t * b : s + (t + 1) * b] == w[s : s + b] for t in range(1, copies)):
+                return False
+    return True
+
+
+def oracle_overlap_free(w: bytes) -> bool:
+    n = len(w)
+    for s in range(n):
+        for b in range(1, (n - s - 1) // 2 + 1):
+            if w[s] == w[s + b] and w[s : s + b + 1] == w[s + b : s + 2 * b + 1]:
+                return False
+    return True
+
+
+def oracle_fixed_point_prefix(images, seed, length):
+    """First ``length`` letters of phi^k(seed), applying phi until the word is long enough.
+
+    ``images`` maps each letter to its image, a tuple of letters.
+    """
+    word = (seed,)
+    while len(word) < length:
+        word = tuple(c for a in word for c in images[a])
+    return word[:length]

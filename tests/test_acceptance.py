@@ -32,10 +32,15 @@ from permavoid.verifier import (
     max_gap_without_full_image,
     verify_prefix_avoids,
 )
-from permavoid.words import _overlap_free_scan, _power_free_scan
 from permavoid.words import is_cube_free, is_overlap_free, is_square_free
 
-from oracles import oracle_longest_avoiding_word, oracle_suffix_witness, perm_powers
+from oracles import (
+    oracle_longest_avoiding_word,
+    oracle_overlap_free,
+    oracle_power_free,
+    oracle_suffix_witness,
+    perm_powers,
+)
 
 PAPER_WITNESS = "010210210210033001133001133001133000"
 
@@ -171,9 +176,9 @@ def test_criterion_07_classical_words():
     tm = load_spec("thue-morse").generate(10_000)
     tt = load_spec("ternary-thue").generate(10_000)
     checks = {
-        "thue-morse cube-free": _power_free_scan(tm.letters, 3),
-        "thue-morse overlap-free": _overlap_free_scan(tm.letters),
-        "ternary square-free": _power_free_scan(tt.letters, 2),
+        "thue-morse cube-free": oracle_power_free(tm.letters, 3),
+        "thue-morse overlap-free": oracle_overlap_free(tm.letters),
+        "ternary square-free": oracle_power_free(tt.letters, 2),
         "checkers agree": is_cube_free(tm) and is_overlap_free(tm) and is_square_free(tt),
     }
     report(7, "classical words", all(checks.values()), str(checks))

@@ -3,6 +3,9 @@
 import ast
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -74,6 +77,22 @@ def test_every_export_resolves(module):
 
 def test_package_export_count():
     assert len(permavoid.__all__) == 38
+
+
+def test_library_imports_only_the_standard_library():
+    # in a fresh interpreter, so modules the test runner loaded do not count
+    code = (
+        "import sys; before = set(sys.modules); import permavoid; "
+        "loaded = {name.split('.')[0] for name in set(sys.modules) - before}; "
+        "print(sorted(loaded - set(sys.stdlib_module_names) - {'permavoid'}))"
+    )
+    src = str(Path(permavoid.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_deleted_methods_are_gone(capsys):

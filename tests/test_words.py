@@ -11,19 +11,32 @@ from permavoid.words import (
     TERNARY_THUE_MORPHISM,
     THUE_MORSE_MORPHISM,
     Word,
-    _overlap_free_scan,
-    _power_free_scan,
     is_cube_free,
     is_four_power_free,
     is_overlap_free,
     is_square_free,
 )
 
-from oracles import perm_powers
+from oracles import (
+    oracle_fixed_point_prefix,
+    oracle_overlap_free,
+    oracle_power_free,
+    perm_powers,
+)
 
 IDENTITY_TABLE = bytes(range(256))
 
 perms = st.permutations(range(7)).map(Permutation)
+
+
+@st.composite
+def prolongable_morphisms(draw):
+    """A morphism on 1..4 letters whose image of 0 starts with 0 and has two or more letters."""
+    m = draw(st.integers(1, 4))
+    image = st.lists(st.integers(0, m - 1), min_size=1, max_size=4)
+    images = [draw(image) for _ in range(m)]
+    images[0] = [0] + draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=3))
+    return images
 
 
 def thue_morse_prefix(length: int) -> Word:
@@ -176,6 +189,30 @@ class TestFixedPoints:
         with pytest.raises(ValueError):
             shrink.fixed_point_prefix(0, 5)
 
+    def test_letter_without_image_rejected(self):
+        # letter 2 has no image, whether or not the prefix reaches far enough to expand it
+        for images, length in (({0: "02", 1: "1"}, 2), ({0: "0002", 1: "1"}, 5)):
+            with pytest.raises(ValueError, match="letter 2 undefined"):
+                Morphism(images).fixed_point_prefix(0, length)
+
+    def test_slowly_growing_morphism(self):
+        # 0 -> 01, 1 -> 1 grows by one letter per application
+        slow = Morphism({0: "01", 1: "1"})
+        assert slow.fixed_point_prefix(0, 32_000).letters == bytes([0]) + bytes([1]) * 31_999
+
+    def test_builtins_match_oracle(self):
+        for morphism in (THUE_MORSE_MORPHISM, TERNARY_THUE_MORPHISM):
+            images = [tuple(img) for img in morphism.images]
+            prefix = morphism.fixed_point_prefix(0, 100_000).letters
+            assert tuple(prefix) == oracle_fixed_point_prefix(images, 0, 100_000)
+
+    @settings(max_examples=200, deadline=None)
+    @given(prolongable_morphisms(), st.integers(1, 300))
+    def test_prefix_matches_oracle(self, images, length):
+        morphism = Morphism(dict(enumerate(bytes(img) for img in images)))
+        expected = oracle_fixed_point_prefix([tuple(img) for img in images], 0, length)
+        assert tuple(morphism.fixed_point_prefix(0, length).letters) == expected
+
     @settings(max_examples=30)
     @given(st.integers(1, 200), st.integers(0, 100))
     def test_prefix_monotone(self, short, extra):
@@ -214,20 +251,30 @@ class TestRepetitionCheckers:
             assert checker("")
             assert checker("0")
 
+    @staticmethod
+    def assert_checkers_match_oracles(word):
+        assert is_square_free(word) == oracle_power_free(word, 2)
+        assert is_cube_free(word) == oracle_power_free(word, 3)
+        assert is_four_power_free(word) == oracle_power_free(word, 4)
+        assert is_overlap_free(word) == oracle_overlap_free(word)
+
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.integers(0, 2), max_size=60).map(bytes))
     def test_runs_method_matches_scan(self, word):
-        assert is_square_free(word) == _power_free_scan(word, 2)
-        assert is_cube_free(word) == _power_free_scan(word, 3)
-        assert is_four_power_free(word) == _power_free_scan(word, 4)
-        assert is_overlap_free(word) == _overlap_free_scan(word)
+        self.assert_checkers_match_oracles(word)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.sampled_from([0, 1, 255]), max_size=60).map(bytes))
+    def test_runs_method_matches_scan_on_whole_bytes(self, word):
+        # the checkers XOR whole bytes, so letters use the top bit too
+        self.assert_checkers_match_oracles(word)
 
     def test_methods_agree_on_classical_prefixes(self):
         tm = thue_morse_prefix(1500)
         tt = ternary_thue_prefix(1500)
-        assert _overlap_free_scan(tm.letters) and is_overlap_free(tm)
-        assert _power_free_scan(tm.letters, 3) and is_cube_free(tm)
-        assert _power_free_scan(tt.letters, 2) and is_square_free(tt)
+        assert oracle_overlap_free(tm.letters) and is_overlap_free(tm)
+        assert oracle_power_free(tm.letters, 3) and is_cube_free(tm)
+        assert oracle_power_free(tt.letters, 2) and is_square_free(tt)
 
 
 class TestWordType:
