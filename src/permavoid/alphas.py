@@ -13,9 +13,9 @@ pattern at t depends only on which of the six differences i, j, k, j - i,
 k - i, k - j t divides, so it can change only at divisors of the nonzero
 differences; every t that divides none of them gives one and the same
 pattern.  :func:`profile` therefore visits only the divisors of the nonzero
-differences and the least t dividing none of them.  It walks them from the
-largest to the smallest and writes each t into the alpha slot of its
-pattern, so the least t giving a pattern is the one that stays.  Each
+differences and the least t dividing none of them.  It walks them in
+ascending order and fills the alpha slot of each pattern the first time the
+walk reaches it, so each slot holds the least t giving its pattern.  Each
 difference's divisors come from a bounded cache keyed by the difference
 (trial division up to the square root on a miss); profiles themselves are
 not cached, as each is cheap to rebuild from those divisors.  Exponents above
@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Hashable, Sequence
+from typing import Hashable, Iterator, Sequence
 
 
 __all__ = [
@@ -116,21 +116,18 @@ def canonical_pattern(items: Sequence[Hashable]) -> str:
     return "".join(str(d) for d in out)
 
 
-def _pattern_equality_key(pattern: str) -> tuple[bool, ...]:
-    d = pattern
-    return (d[0] == d[1], d[0] == d[2], d[0] == d[3], d[1] == d[2], d[1] == d[3], d[2] == d[3])
+def _equalities(x0, x1, x2, x3) -> int:
+    """Bit p set when the p-th pair (01, 02, 03, 12, 13, 23) of the four items is equal."""
+    bits = (x0 == x1) | (x0 == x2) << 1 | (x0 == x3) << 2
+    return bits | (x1 == x2) << 3 | (x1 == x3) << 4 | (x2 == x3) << 5
 
 
-_PATTERN_FROM_EQ: dict[tuple[bool, ...], str] = {
-    _pattern_equality_key(p): p for p in ALL_PATTERNS
-}
+_PATTERN_OF_EQUALITIES = {_equalities(*p): p for p in ALL_PATTERNS}
 
 
 def blocks_pattern(b0, b1, b2, b3) -> str:
     """Canonical equality pattern of four blocks, via their pairwise equalities."""
-    return _PATTERN_FROM_EQ[
-        (b0 == b1, b0 == b2, b0 == b3, b1 == b2, b1 == b3, b2 == b3)
-    ]
+    return _PATTERN_OF_EQUALITIES[_equalities(b0, b1, b2, b3)]
 
 
 def is_canonical_pattern(pattern: str) -> bool:
@@ -198,17 +195,10 @@ class AlphaProfile:
         }
 
 
-def _equality_mask(pattern: str) -> int:
-    return sum(bit << pos for pos, bit in enumerate(_pattern_equality_key(pattern)))
-
-
-#: Divisibility mask of each representation, in alpha order; bit p of a mask
-#: says that t divides the p-th of (i, j, k, j-i, k-i, k-j).
-_REPRESENTATION_MASKS = tuple(_equality_mask(REPRESENTATIONS[a]) for a in ALPHA_INDICES)
-
-
-#: Alpha slot (a - 1) of each representation's divisibility mask.
-_SLOT_OF_MASK = {mask: slot for slot, mask in enumerate(_REPRESENTATION_MASKS)}
+#: Alpha slot (a - 1) of each representation's equality bits.  With the
+#: exponents (0, i, j, k), position pair p of :func:`_equalities` is equal
+#: exactly when t divides the p-th of (i, j, k, j-i, k-i, k-j).
+_SLOT_OF_MASK = {_equalities(*REPRESENTATIONS[a]): a - 1 for a in ALPHA_INDICES}
 
 
 @lru_cache(maxsize=4096)
@@ -218,8 +208,8 @@ def _divisors(d: int) -> tuple[int, ...]:
     return tuple(small + [d // t for t in reversed(small) if t * t != d])
 
 
-def profile(e) -> AlphaProfile:
-    exp = _exponents(e)
+def _alpha_walk(exp: PatternExponents) -> Iterator[tuple[int, int]]:
+    """(t, alpha slot a - 1) in ascending t, at the least t giving each reachable slot."""
     i, j, k = exp.i, exp.j, exp.k
     if max(i, j, k) > MAX_EXPONENT:
         raise ValueError(f"exponents must be at most {MAX_EXPONENT:,}, got {exp.as_tuple()}")
@@ -236,12 +226,19 @@ def profile(e) -> AlphaProfile:
     while first_free in masks:
         first_free += 1
     masks[first_free] = 0
-    values: list[int | float] = [INFINITY] * len(REPRESENTATIONS)
-    # descending, so the least t giving a representation is written last
-    for t in sorted(masks, reverse=True):
+    reached = 0
+    for t in sorted(masks):
         slot = _SLOT_OF_MASK.get(masks[t] | zero_mask)
-        if slot is not None:
-            values[slot] = t
+        if slot is not None and not reached >> slot & 1:
+            reached |= 1 << slot
+            yield t, slot
+
+
+def profile(e) -> AlphaProfile:
+    exp = _exponents(e)
+    values: list[int | float] = [INFINITY] * len(REPRESENTATIONS)
+    for t, slot in _alpha_walk(exp):
+        values[slot] = t
     return AlphaProfile(exp, tuple(values))
 
 

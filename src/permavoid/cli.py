@@ -95,8 +95,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     search_cmd = sub.add_parser("search", help="longest word avoiding a parameter set")
     _add_instance_options(search_cmd)
-    search_cmd.add_argument("--cap", type=int, default=400, help="length cap")
-    search_cmd.add_argument("--budget", type=int, default=100_000_000, help="node budget")
+    search_cmd.add_argument("--cap", type=int, default=SearchConfig.length_cap, help="length cap")
+    search_cmd.add_argument(
+        "--budget", type=int, default=SearchConfig.node_budget, help="node budget"
+    )
     _add_verbose(search_cmd)
 
     verify_word_cmd = sub.add_parser("verify-word", help="check one word against a parameter set")

@@ -14,14 +14,15 @@ reading pinned for each restriction and the regression anchors that fix it.
 ``sigma(e)`` is the minimum over all generated sets of the maximum alpha
 value of their members (infinity-absorbing), returned with the first set in
 :func:`all_unavoidable_sets` order that attains it.  It is decided on the
-subset lattice of the fourteen indices: walking the distinct finite alpha
-values m of the profile in ascending order, the index mask
-{a : alpha_a <= m} grows, and sigma is the least m whose mask contains a
-whole set (infinity when none ever does).  Every set inside that mask has
-maximum exactly m, as a smaller maximum would have put it inside an earlier
-mask, so the first set inside the mask is the first set attaining the
-minimum.  Which set a mask first contains is memoised per mask (at most
-2**14 of them).
+subset lattice of the fourteen indices, and it stops on the ascending walk
+that builds the alpha profile.  That walk reaches the distinct finite alpha
+values m in ascending order, one index each, so the index mask
+{a : alpha_a <= m} grows by one bit per step, and sigma is the least m
+whose mask contains a whole set (infinity when none ever does).  Every set
+inside that mask has maximum exactly m, as a smaller maximum would have put
+it inside an earlier mask, so the first set inside the mask is the first
+set attaining the minimum.  Which set a mask first contains is memoised per
+mask (at most 2**14 of them).
 
 For exponent triples that are positive and pairwise distinct this bound
 classifies avoidability: alphabets of size up to sigma - 1 admit avoiding
@@ -40,6 +41,8 @@ from .alphas import (
     INFINITY,
     REPRESENTATIONS,
     PatternExponents,
+    _alpha_walk,
+    _exponents,
     alpha_json_value,
     is_swapped_form,
     profile,
@@ -299,20 +302,15 @@ def sigma(e) -> tuple[int | float, ParamSet]:
     sigma is infinite.  Requires positive pairwise-distinct exponents;
     degenerate triples are the business of :func:`classify`.
     """
-    exp = e if isinstance(e, PatternExponents) else PatternExponents(*e)
+    exp = _exponents(e)
     if _degenerate_case(exp) != _DEGENERATE_NONE:
         raise ValueError(
             "sigma requires positive pairwise-distinct exponents; use classify for degenerate triples"
         )
-    slots_at: dict[int | float, int] = {}  # alpha value -> mask of the slots holding it
-    for slot, value in enumerate(profile(exp).values):
-        slots_at[value] = slots_at.get(value, 0) | 1 << slot
     sets = all_unavoidable_sets()
     mask = 0
-    for value in sorted(slots_at):
-        if value == INFINITY:
-            break
-        mask |= slots_at[value]
+    for value, slot in _alpha_walk(exp):
+        mask |= 1 << slot
         index = _first_set_within(mask)
         if index >= 0:
             # every set inside the mask has maximum exactly ``value``, the least one
@@ -337,13 +335,13 @@ class ClassificationReport:
 
     exponents: PatternExponents
     degenerate_case: str
-    sigma: int | float | None
-    witness_set: tuple[int, ...] | None
-    avoidable_min: int
-    avoidable_max: int | float  # inclusive; INFINITY means every alphabet size
-    unavoidable_from: int | float | None
-    boundary: int | None
-    boundary_status: str | None
+    sigma: int | float | None = None
+    witness_set: tuple[int, ...] | None = None
+    avoidable_min: int = 2
+    avoidable_max: int | float = INFINITY  # inclusive; INFINITY means every alphabet size
+    unavoidable_from: int | float | None = None
+    boundary: int | None = None
+    boundary_status: str | None = None
     note: str | None = None
 
     def as_json(self) -> dict:
@@ -378,42 +376,24 @@ def _degenerate_case(exp: PatternExponents) -> str:
 
 def classify(e) -> ClassificationReport:
     """Full avoidability classification of the pattern x f^i(x) f^j(x) f^k(x)."""
-    exp = e if isinstance(e, PatternExponents) else PatternExponents(*e)
+    exp = _exponents(e)
     degenerate = _degenerate_case(exp)
     if degenerate != _DEGENERATE_NONE:
         return ClassificationReport(
             exponents=exp,
             degenerate_case=degenerate,
-            sigma=None,
-            witness_set=None,
-            avoidable_min=2,
-            avoidable_max=INFINITY,
-            unavoidable_from=None,
-            boundary=None,
-            boundary_status=None,
             note="degenerate exponents: avoidable for every alphabet size m >= 2",
         )
     value, witness = sigma(exp)
     if value == INFINITY:
         return ClassificationReport(
-            exponents=exp,
-            degenerate_case=degenerate,
-            sigma=INFINITY,
-            witness_set=None,
-            avoidable_min=2,
-            avoidable_max=INFINITY,
-            unavoidable_from=None,
-            boundary=None,
-            boundary_status=None,
-            note=_SIGMA_INFINITE_NOTE,
+            exponents=exp, degenerate_case=degenerate, sigma=INFINITY, note=_SIGMA_INFINITE_NOTE
         )
-    value = int(value)
     return ClassificationReport(
         exponents=exp,
         degenerate_case=degenerate,
         sigma=value,
         witness_set=tuple(sorted(witness)),
-        avoidable_min=2,
         avoidable_max=value - 1,
         unavoidable_from=value + 1,
         boundary=value,

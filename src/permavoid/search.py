@@ -191,23 +191,9 @@ class SearchConfig:
             raise ValueError("caps must be positive")
 
     @classmethod
-    def for_params(
-        cls,
-        alphabet: int,
-        params: Iterable[int],
-        model: PermModel = PermModel.ALL_PERMUTATIONS,
-        exponents: tuple[int, int, int] | None = None,
-        length_cap: int = 400,
-        node_budget: int = 100_000_000,
-    ) -> "SearchConfig":
-        return cls(
-            alphabet=alphabet,
-            forbidden=forbidden_patterns(params),
-            model=model,
-            exponents=exponents,
-            length_cap=length_cap,
-            node_budget=node_budget,
-        )
+    def for_params(cls, alphabet: int, params: Iterable[int], **fields) -> "SearchConfig":
+        """The config forbidding ``forbidden_patterns(params)``; ``fields`` go to the constructor."""
+        return cls(alphabet=alphabet, forbidden=forbidden_patterns(params), **fields)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ image.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -81,21 +80,6 @@ class MorphicWordSpec:
             return Word(base_word.letters[:length], self.base.target_alphabet)
         coded = self.coding.apply_letters(base_word.letters)
         return Word(coded[:length], self.coding.target_alphabet)
-
-    def complete_image_spans(self, length: int) -> list[tuple[int, int]]:
-        """(start, end) of every complete coding image inside the length-L prefix."""
-        if self.coding is None:
-            raise ValueError("spec has no coding")
-        base_word = self.base.fixed_point_prefix(self.seed, self.base_prefix_length_for(length))
-        spans = []
-        position = 0
-        for letter in base_word.letters:
-            width = len(self.coding.image(letter))
-            if position + width > length:
-                break
-            spans.append((position, position + width))
-            position += width
-        return spans
 
     def as_json(self) -> dict:
         out: dict = {"base": self.base.to_json_dict(), "seed": self.seed}
@@ -177,20 +161,27 @@ def _spec_key(path: Path, key: str):
 def max_gap_without_full_image(spec: MorphicWordSpec, length: int) -> int:
     """Longest factor of the length-L prefix containing no complete coding image.
 
-    Computed from the image-boundary decomposition: a factor [x, y) contains
-    the image spanning [s, s+w) exactly when x <= s and s+w <= y.
+    The complete images w_0, w_1, ... tile the prefix from position 0.  A
+    longest such factor starts at 0 or one letter after an image start and
+    stops one letter short of the end of the next image, or at L after the
+    last image start s_last.  So the gap is the largest of w_0 - 1,
+    w_t + w_(t+1) - 2 and L - s_last - 1, or L when no image is complete.
     """
-    spans = spec.complete_image_spans(length)
-    if not spans:
+    if spec.coding is None:
+        raise ValueError("spec has no coding")
+    base_word = spec.base.fixed_point_prefix(spec.seed, spec.base_prefix_length_for(length))
+    widths = []
+    end = 0
+    for letter in base_word.letters:
+        width = len(spec.coding.image(letter))
+        if end + width > length:
+            break
+        widths.append(width)
+        end += width
+    if not widths:
         return length
-    starts = [s for s, _ in spans]
-    best = 0
-    for x in [0] + [s + 1 for s in starts]:
-        nxt = bisect_left(starts, x)
-        y = spans[nxt][1] - 1 if nxt < len(spans) else length
-        if y - x > best:
-            best = y - x
-    return best
+    pairs = [a + b - 2 for a, b in zip(widths, widths[1:])]
+    return max(widths[0] - 1, length - (end - widths[-1]) - 1, *pairs)
 
 
 @dataclass(frozen=True)

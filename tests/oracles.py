@@ -136,3 +136,22 @@ def oracle_fixed_point_prefix(images, seed, length):
     while len(word) < length:
         word = tuple(c for a in word for c in images[a])
     return word[:length]
+
+
+def oracle_max_gap(base_images, seed, coding_images, length):
+    """Longest factor [x, y) of the first ``length`` coded letters that holds no whole image.
+
+    The coded word is the fixed point of ``base_images`` from ``seed`` with
+    each letter a replaced by ``coding_images[a]``; both map letters to tuples
+    of letters.  Every factor is tested against every image span.
+    """
+    spans, start = [], 0
+    for a in oracle_fixed_point_prefix(base_images, seed, length):
+        spans.append((start, start + len(coding_images[a])))
+        start += len(coding_images[a])
+    return max(
+        y - x
+        for x in range(length + 1)
+        for y in range(x, length + 1)
+        if not any(x <= s and e <= y for s, e in spans)
+    )

@@ -123,8 +123,10 @@ def test_deleted_options_are_gone(capsys):
         assert f"unrecognized arguments: {' '.join(deleted)}" in capsys.readouterr().err
     assert list(inspect.signature(permavoid.forbidden_patterns).parameters) == ["params"]
     assert list(inspect.signature(permavoid.SearchConfig.for_params).parameters) == [
-        "alphabet", "params", "model", "exponents", "length_cap", "node_budget",
+        "alphabet", "params", "fields",
     ]
+    with pytest.raises(TypeError):  # the remaining fields are the constructor's keywords
+        permavoid.SearchConfig.for_params(alphabet=3, params={1}, max_positions=5)
     assert "max_positions" not in inspect.signature(permavoid.verify_prefix_avoids).parameters
     with pytest.raises(AttributeError):
         permavoid.Morphism(["01", "10"])  # images come as a mapping only

@@ -3,6 +3,7 @@ import json
 import random
 import re
 from dataclasses import replace
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -337,6 +338,27 @@ class TestClassify:
         assert data["witness_set"] == [1, 3, 7, 12, 13]
         data = classify((1, 2, 3)).as_json()
         assert data["sigma"] == "inf"
+
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("box", "313f3044e29c5211cc842b91efc21fdeba3d06b5cf9570a7cba129b36b289cfa"),
+            ("sample", "fe428fc97130b25de9bbf784c4880d3a5d0be3b2b2e81436ab2ec7ef8c9ba3e7"),
+        ],
+    )
+    def test_reports_pinned(self, name, digest):
+        # Both digests were recorded before sigma and profile were rebuilt on
+        # one ascending alpha walk; they pin every field of every report over
+        # {0..12}^3 (zero, equal and degenerate exponents included) and over
+        # 200 seeded triples below 10**6.
+        if name == "box":
+            triples = list(product(range(13), repeat=3))
+        else:
+            rng = random.Random(13)
+            triples = [tuple(rng.randrange(10**6) for _ in range(3)) for _ in range(200)]
+        reports = [[classify(t).as_json(), profile(t).as_json()] for t in triples]
+        text = json.dumps(reports, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_consistency_with_profile(self):
         # sigma is bounded below by alpha_1 for valid triples

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -18,7 +19,7 @@ from permavoid.words import (
     is_square_free,
 )
 
-from oracles import oracle_suffix_witness, perm_powers
+from oracles import oracle_max_gap, oracle_suffix_witness, perm_powers
 
 
 class TestHAlphaConstruction:
@@ -72,6 +73,22 @@ class TestMaxGap:
     def test_requires_coding(self):
         with pytest.raises(ValueError):
             max_gap_without_full_image(load_spec("ternary-thue"), 100)
+
+    def test_matches_factor_enumeration_on_random_specs(self):
+        rng = random.Random(31)
+        for _ in range(300):
+            m = rng.randint(1, 3)
+            base = [[rng.randrange(m) for _ in range(rng.randint(1, 3))] for _ in range(m)]
+            base[0] = [0] + [rng.randrange(m) for _ in range(rng.randint(1, 3))]
+            coding = [[rng.randrange(4) for _ in range(rng.randint(1, 6))] for _ in range(m)]
+            spec = MorphicWordSpec(
+                Morphism(dict(enumerate(map(bytes, base)))),
+                0,
+                coding=Morphism(dict(enumerate(map(bytes, coding))), target_alphabet=4),
+            )
+            length = rng.randint(1, 40)
+            expected = oracle_max_gap(base, 0, coding, length)
+            assert max_gap_without_full_image(spec, length) == expected, (base, coding, length)
 
 
 class TestVerifyPrefixAvoids:
