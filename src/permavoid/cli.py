@@ -1,7 +1,8 @@
 """Command-line interface: JSON reports for every library operation.
 
-Exit codes: 0 success, 1 domain errors (invalid exponents, bad inputs),
-2 resource-capped inconclusive results, 64 usage errors.
+Exit codes: 0 success, 1 domain errors (invalid exponents, bad inputs) and
+a reader that closes stdout early, 2 resource-capped inconclusive results,
+64 usage errors.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 import time
 
@@ -270,7 +272,15 @@ def main(argv: list[str] | None = None) -> int:
         "elapsed_seconds": round(elapsed, 6),
         "result": result,
     }
-    print(json.dumps(report, indent=2, sort_keys=True))
+    try:
+        print(json.dumps(report, indent=2, sort_keys=True))
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # the reader closed stdout early; point it at devnull so that the
+        # flush at interpreter exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"permavoid: error: cannot write the report: {exc.strerror}", file=sys.stderr)
+        return EXIT_DOMAIN_ERROR
     return code
 
 

@@ -42,6 +42,12 @@ word length and of the block bound: only blocks of at most 64 letters are
 memoised (keys of at most 256 bytes), and the memo is emptied when it reaches
 65,536 entries, about 25 MB at worst.  The family-1 search asks the matcher
 about 681 factors instead of 39,017 splits.
+
+The scan only decides: a hit is the block length and the memoised outcome,
+and the search prunes on it without building anything.  Only
+``suffix_instance`` and ``verify_word_avoids`` build an ``InstanceWitness``
+(``_suffix_witness``), once, for the split they return; the family-1 search
+builds none for its 32,850 pruned nodes.
 """
 
 from __future__ import annotations
@@ -304,7 +310,7 @@ def _split_outcome(factor: bytes, b: int, config: SearchConfig, compiled: _Compi
     return pattern, *hit
 
 
-def _suffix_witness(
+def _suffix_split(
     w: bytes,
     prev: list[int],
     end: int,
@@ -313,7 +319,11 @@ def _suffix_witness(
     max_block: int,
     memo: dict,
 ):
-    """Witness among block splits of suffixes of w[:end], or None.
+    """The first block split of a suffix of w[:end] that is an instance, or None.
+
+    A hit is ``(b, outcome)``: the block length and the split's memoised
+    (pattern, permutation, exponents); ``_suffix_witness`` turns it into a
+    report.
 
     ``prev`` is the previous-occurrence index of w (at least its first
     ``end`` entries); splits whose blocks' last letters recur at different
@@ -339,23 +349,30 @@ def _suffix_witness(
                     memo.clear()
                 memo[factor] = outcome
         if outcome is not None:
-            pattern, permutation, exponents = outcome
-            return InstanceWitness(
-                start=s,
-                block_length=b,
-                blocks=(factor[:b], factor[b : 2 * b], factor[2 * b : 3 * b], factor[3 * b :]),
-                permutation=permutation,
-                exponents=exponents,
-                pattern=pattern,
-            )
+            return b, outcome
     return None
+
+
+def _suffix_witness(w: bytes, end: int, found) -> InstanceWitness:
+    """The witness for the split ``(b, outcome)`` of w[:end] that ``_suffix_split`` found."""
+    b, (pattern, permutation, exponents) = found
+    s = end - 4 * b
+    return InstanceWitness(
+        start=s,
+        block_length=b,
+        blocks=(w[s : s + b], w[s + b : s + 2 * b], w[s + 2 * b : s + 3 * b], w[s + 3 * b : end]),
+        permutation=permutation,
+        exponents=exponents,
+        pattern=pattern,
+    )
 
 
 def suffix_instance(word: WordLike, config: SearchConfig) -> InstanceWitness | None:
     """First forbidden instance that is a suffix of the word, over all block lengths."""
     w = as_letters(word)
     compiled = _compiled(config.model, config.alphabet)
-    return _suffix_witness(w, _prev_index(w), len(w), config, compiled, len(w), {})
+    found = _suffix_split(w, _prev_index(w), len(w), config, compiled, len(w), {})
+    return None if found is None else _suffix_witness(w, len(w), found)
 
 
 def verify_word_avoids(
@@ -377,9 +394,9 @@ def verify_word_avoids(
     for end in range(4, len(w) + 1):
         if end % _POSITIONS_PROGRESS_EVERY == 0:
             logger.debug("verify: end position %d of %d, memo %d", end, len(w), len(memo))
-        witness = _suffix_witness(w, prev, end, config, compiled, limit, memo)
-        if witness is not None:
-            return witness
+        found = _suffix_split(w, prev, end, config, compiled, limit, memo)
+        if found is not None:
+            return _suffix_witness(w, end, found)
     return None
 
 
@@ -430,7 +447,7 @@ def longest_avoiding_word(config: SearchConfig) -> SearchResult:
             )
         prev.append(len(w) - w.rfind(c))  # rfind gives -1 when c is new
         w.append(c)
-        if _suffix_witness(bytes(w), prev, len(w), config, compiled, len(w), memo) is not None:
+        if _suffix_split(bytes(w), prev, len(w), config, compiled, len(w), memo) is not None:
             continue
         if len(w) > len(best):
             best = bytes(w)

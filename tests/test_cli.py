@@ -407,13 +407,30 @@ class TestReadmeCommands:
 class TestModuleEntryPoint:
     """``python -m permavoid`` in a child process, as the console script runs it."""
 
-    def run_module(self, *args):
+    @staticmethod
+    def command(*args):
         src = str(Path(permavoid.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        return subprocess.run(
-            [sys.executable, "-m", "permavoid", *args],
-            capture_output=True, text=True, env=env, timeout=60,
+        return [sys.executable, "-m", "permavoid", *args], env
+
+    def run_module(self, *args):
+        argv, env = self.command(*args)
+        return subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+
+    def test_closed_pipe_is_one_line_error(self):
+        # the report (the word twice, about 200 kB) outgrows the pipe buffer,
+        # so the child is still writing when the reader closes after 10 bytes
+        argv, env = self.command(
+            "verify-word", "--m", "2", "--forbidden", "1", "--model", "all", "--word", "0" * 100_000
         )
+        child = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert child.stdout.read(10) == b'{\n  "comma'
+        child.stdout.close()
+        err = child.stderr.read().decode()
+        child.stderr.close()
+        assert child.wait(timeout=60) == 1
+        assert err.splitlines() == ["permavoid: error: cannot write the report: Broken pipe"]
+        assert "Traceback" not in err and "Exception ignored" not in err
 
     def test_version(self):
         done = self.run_module("--version")

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from collections import Counter
 from itertools import permutations
@@ -422,6 +424,59 @@ class TestVerifyWordAvoids:
                 verify_word_avoids("0000", config, max_block=max_block)
 
 
+class TestPublicScansPinned:
+    # SHA-256 over every witness (or None) that suffix_instance and
+    # verify_word_avoids return on a seeded set of words, recorded at the
+    # commit before the suffix check was split into a yes/no decision and a
+    # witness report; any change to a reported start, block, permutation,
+    # exponent triple or pattern changes it
+    DIGEST = "b8d6c4529d03b7e92a815fd8f3bc88d963c45dd321f3c61bbacdb6b9a8df4fb6"
+
+    @staticmethod
+    def scans():
+        rng = random.Random(2718)
+        for m in (2, 3, 4):
+            for model in PermModel:
+                if model is PermModel.FIX_ONE_POINT_CYCLE and m < 3:
+                    continue
+                tables = POWER_TABLES[m]
+                for exponents in (None, (1, 2, 3), (2, 5, 7), (4, 4, 1)):
+                    for _ in range(6):
+                        forbidden = frozenset(rng.sample(ALL_PATTERNS, rng.randint(1, 10)))
+                        config = SearchConfig(
+                            alphabet=m, forbidden=forbidden, model=model, exponents=exponents
+                        )
+                        # a random prefix, a planted u f^e1(u) f^e2(u) f^e3(u), a random tail
+                        f = rng.choice(tables)
+                        u = bytes(rng.randrange(m) for _ in range(rng.randint(1, 4)))
+                        powers = exponents or [rng.randint(1, 2 * len(f)) for _ in range(3)]
+                        w = bytes(rng.randrange(m) for _ in range(rng.randint(0, 16)))
+                        w += u + b"".join(bytes(f[e % len(f)][a] for a in u) for e in powers)
+                        w += bytes(rng.randrange(m) for _ in range(rng.randint(0, 8)))
+                        max_block = rng.choice((None, None, rng.randint(1, 4)))
+                        yield "verify", w, config, max_block
+                        for end in range(len(w) + 1):
+                            yield "suffix", w[:end], config, None
+
+    def test_witnesses_pinned(self):
+        records = []
+        seen = Counter()
+        for scan, w, config, max_block in self.scans():
+            if scan == "verify":
+                witness = verify_word_avoids(w, config, max_block=max_block)
+            else:
+                witness = suffix_instance(w, config)
+            seen[scan, witness is not None] += 1
+            seen["longer blocks"] += witness is not None and witness.block_length > 1
+            records.append([scan, w.hex(), max_block, witness and witness.as_json()])
+        digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+        # both outcomes of both scans, and witnesses beyond one-letter blocks
+        assert min(seen["verify", True], seen["verify", False]) >= 80
+        assert min(seen["suffix", True], seen["suffix", False]) >= 500
+        assert seen["longer blocks"] >= 50
+        assert digest == self.DIGEST
+
+
 class TestScanMemo:
     # a scan decides each distinct factor once: witnesses, node counts and
     # certificates must be those of deciding every split afresh
@@ -550,7 +605,7 @@ class TestScanMemo:
         memo = {}
         sizes = set()
         for end in range(4, len(w) + 1):
-            search_module._suffix_witness(w, prev, end, config, compiled, end, memo)
+            search_module._suffix_split(w, prev, end, config, compiled, end, memo)
             assert len(memo) <= 50
             assert all(len(factor) <= 4 * 64 for factor in memo)
             sizes.add(len(memo))
@@ -568,6 +623,37 @@ class TestScanMemo:
         assert (result.max_length_found, result.nodes_visited) == (36, 43_810)
         assert len(calls) == 681
         assert len({args[1:5] for args in calls}) == 681
+
+    def test_only_public_results_build_witnesses(self, monkeypatch):
+        # the search and a clean scan only decide; each public hit is
+        # reported by exactly one InstanceWitness
+        built = []
+        original = search_module.InstanceWitness
+
+        def counting(**fields):
+            built.append(fields)
+            return original(**fields)
+
+        monkeypatch.setattr(search_module, "InstanceWitness", counting)
+        calls = _recording(monkeypatch, "_match")
+        config = SearchConfig.for_params(
+            alphabet=4, params={1, 2, 4, 6, 7}, model=PermModel.FULL_CYCLE, length_cap=40
+        )
+        result = longest_avoiding_word(config)
+        assert result.as_json() == {
+            "max_length_found": 36,
+            "witness_word": "010210210210011002211002211002211000",
+            "exhausted": True,
+            "nodes_visited": 43_810,
+        }
+        assert len(calls) == 681
+        assert built == []
+        assert verify_word_avoids(result.witness_word, config) is None
+        assert built == []
+        assert verify_word_avoids(result.witness_word.text() + "0", config) is not None
+        assert len(built) == 1
+        assert suffix_instance("0000", config).pattern == "0000"
+        assert len(built) == 2
 
 
 class TestLongestAvoidingWord:
