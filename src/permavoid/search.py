@@ -48,6 +48,20 @@ and the search prunes on it without building anything.  Only
 ``suffix_instance`` and ``verify_word_avoids`` build an ``InstanceWitness``
 (``_suffix_witness``), once, for the split they return; the family-1 search
 builds none for its 32,850 pruned nodes.
+
+Every split with b = 1 passes the filter (``prev[t] >= 1``), and its outcome
+depends only on the last four letters: the parent's last three and the new
+letter.  So ``longest_avoiding_word`` decides b = 1 for all children of a
+node when it pushes the node, from one table per search keyed by the node's
+last three letters.  An entry holds the letters decided so far and a bit mask
+of those that end an instance; it is extended lazily, one ``_split_outcome``
+call per new letter, so each 4-letter factor is still decided once per
+search.  A child in the mask is counted as a node and dropped without being
+appended or scanned; a surviving child's scan starts at b = 2, and a word of
+fewer than 8 letters, whose only split has b = 1, is not scanned at all.  The
+table holds at most m^3 entries, and the model-size cap keeps m <= 9 (729
+entries), so it needs no bound of its own.  In the family-1 search 28,419 of
+the 43,810 nodes end a b = 1 instance; 15,284 scans remain.
 """
 
 from __future__ import annotations
@@ -318,6 +332,7 @@ def _suffix_split(
     compiled: _Compiled,
     max_block: int,
     memo: dict,
+    first: int = 1,
 ):
     """The first block split of a suffix of w[:end] that is an instance, or None.
 
@@ -329,11 +344,12 @@ def _suffix_split(
     ``end`` entries); splits whose blocks' last letters recur at different
     distances inside their blocks are skipped unsliced.  ``memo`` maps the
     factors of splits already decided under this config to their outcomes.
+    Block lengths below ``first`` are not tried.
     """
     top = min(end // 4, max_block)
     last = end - 1
     p = prev[last] if end else 0  # the empty word has no splits
-    for b in range(1, top + 1):
+    for b in range(first, top + 1):
         if p < b:
             if prev[last - b] != p or prev[last - 2 * b] != p or prev[last - 3 * b] != p:
                 continue
@@ -421,11 +437,17 @@ def longest_avoiding_word(config: SearchConfig) -> SearchResult:
     budget_hit = False
     cap_hit = False
     memo: dict = {}
+    # tails[(w[-3] << 16) | (w[-2] << 8) | w[-1]] = (decided, mask): bit x of
+    # mask is set when letter x after that tail ends a b = 1 instance, for
+    # the letters x < decided decided so far (see the module docstring)
+    tails: dict = {}
 
     # next_letter[d] is the next candidate at position d; high[d] is the
-    # largest letter used before position d (fresh letters ascend).
+    # largest letter used before position d (fresh letters ascend); dead[d]
+    # is the b = 1 mask of the letters at position d.
     next_letter = [0]
     high = [-1]
+    dead = [0]
     while next_letter:
         depth = len(next_letter) - 1
         if len(w) > depth:
@@ -435,6 +457,7 @@ def longest_avoiding_word(config: SearchConfig) -> SearchResult:
         if c >= m or c > high[depth] + 1:
             next_letter.pop()
             high.pop()
+            dead.pop()
             continue
         next_letter[depth] = c + 1
         nodes += 1
@@ -445,17 +468,32 @@ def longest_avoiding_word(config: SearchConfig) -> SearchResult:
             logger.debug(
                 "search: %d nodes, depth %d, best %d, memo %d", nodes, depth, len(best), len(memo)
             )
+        if dead[depth] >> c & 1:
+            continue
         prev.append(len(w) - w.rfind(c))  # rfind gives -1 when c is new
         w.append(c)
-        if _suffix_split(bytes(w), prev, len(w), config, compiled, len(w), memo) is not None:
+        n = len(w)
+        if n >= 8 and _suffix_split(bytes(w), prev, n, config, compiled, n, memo, 2) is not None:
             continue
-        if len(w) > len(best):
+        if n > len(best):
             best = bytes(w)
-        if len(w) >= cap:
+        if n >= cap:
             cap_hit = True
             break
+        top = high[depth] if high[depth] >= c else c
         next_letter.append(0)
-        high.append(high[depth] if high[depth] >= c else c)
+        high.append(top)
+        mask = 0
+        if n >= 3:
+            key = (w[-3] << 16) | (w[-2] << 8) | c
+            decided, mask = tails.get(key, (0, 0))
+            k = min(m, top + 2)
+            if decided < k:
+                for x in range(decided, k):
+                    if _split_outcome(bytes((w[-3], w[-2], c, x)), 1, config, compiled) is not None:
+                        mask |= 1 << x
+                tails[key] = (k, mask)
+        dead.append(mask)
 
     return SearchResult(
         max_length_found=len(best),

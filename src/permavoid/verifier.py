@@ -35,6 +35,10 @@ __all__ = [
     "verify_prefix_avoids",
 ]
 
+#: Longest prefix ``verify_prefix_avoids`` generates: the prefix grows in a
+#: Python loop, and 10**6 letters already take seconds and tens of MB.
+_MAX_PREFIX_LENGTH = 10_000_000
+
 #: Letter-to-block coding of the ternary Thue word onto five letters.
 H_ALPHA_CODING = Morphism(
     {
@@ -226,6 +230,10 @@ def verify_prefix_avoids(
     """Exhaustively check every factor of the prefix up to the block-length bound."""
     if max_block_length < 1 or prefix_length < 1:
         raise ValueError("bounds must be positive")
+    if prefix_length > _MAX_PREFIX_LENGTH:
+        raise ValueError(
+            f"prefix length {prefix_length:,} exceeds the supported {_MAX_PREFIX_LENGTH:,} letters"
+        )
     params = tuple(sorted(set(forbidden_params)))
     if any(a not in ALPHA_INDICES for a in params):
         raise ValueError("forbidden parameters must be alpha indices in 1..14")

@@ -432,6 +432,20 @@ class TestModuleEntryPoint:
         assert err.splitlines() == ["permavoid: error: cannot write the report: Broken pipe"]
         assert "Traceback" not in err and "Exception ignored" not in err
 
+    def test_huge_prefix_length_fails_fast(self):
+        # rejected before the prefix is generated: one line, exit 1, no traceback
+        argv, env = self.command(
+            "verify-morphic", "--spec", "h-alpha", "--forbidden", "2", "--len", "100000000000"
+        )
+        done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=10)
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr.splitlines() == [
+            "permavoid: error: prefix length 100,000,000,000 exceeds the supported"
+            " 10,000,000 letters"
+        ]
+        assert "Traceback" not in done.stderr
+
     def test_version(self):
         done = self.run_module("--version")
         assert done.returncode == 0

@@ -550,10 +550,11 @@ class TestScanMemo:
         assert reached >= 3 * classified
 
     def test_search_matches_oracle_when_memo_clears(self, monkeypatch):
-        # a four-entry memo is emptied over and over; the whole result, node
+        # a two-entry memo is emptied over and over; the whole result, node
         # count included, must still equal the definitional DFS's (the configs
-        # are a seeded subset of test_matches_oracle_search's draws)
-        monkeypatch.setattr(search_module, "_MEMO_MAX_ENTRIES", 4)
+        # are test_matches_oracle_search's draws; the search decides b = 1
+        # without the memo, so only splits with b >= 2 repeat)
+        monkeypatch.setattr(search_module, "_MEMO_MAX_ENTRIES", 2)
         outcomes = _recording(monkeypatch, "_split_outcome")
         rng = random.Random(6174)
         repeated = compared = 0
@@ -563,7 +564,7 @@ class TestScanMemo:
                     continue
                 tables = [perm_powers(p.images) for p in model_permutations(model, m)]
                 for exponents in (None, (1, 2, 3), (2, 5, 7)):
-                    for draw in range(8):
+                    for _ in range(8):
                         params = rng.sample(range(1, 15), rng.randint(3, 14))
                         config = SearchConfig.for_params(
                             alphabet=m,
@@ -573,8 +574,6 @@ class TestScanMemo:
                             length_cap=rng.randint(8, 30),
                             node_budget=int(10 ** rng.uniform(0.7, 3.3)),
                         )
-                        if draw % 3:
-                            continue
                         length, best, exhausted, nodes = oracle_longest_avoiding_word(
                             m, tables, config.forbidden, exponents,
                             config.length_cap, config.node_budget, prune=True,
@@ -613,8 +612,8 @@ class TestScanMemo:
         assert sum(b > 64 for _, b, _, _ in outcomes) >= 100
 
     def test_search36_matcher_calls_pinned(self, monkeypatch):
-        # 39,017 splits of the family-1 search reach the matcher; 681 of them
-        # are distinct factors, and each is matched once
+        # 39,017 splits of the family-1 tree pass the relabelling filter; 681
+        # of them are distinct factors that reach the matcher, each once
         calls = _recording(monkeypatch, "_match")
         config = SearchConfig.for_params(
             alphabet=4, params={1, 2, 4, 6, 7}, model=PermModel.FULL_CYCLE, length_cap=40
@@ -623,6 +622,33 @@ class TestScanMemo:
         assert (result.max_length_found, result.nodes_visited) == (36, 43_810)
         assert len(calls) == 681
         assert len({args[1:5] for args in calls}) == 681
+
+    def test_search36_decides_one_letter_blocks_per_tail(self, monkeypatch):
+        # the search decides b = 1 once per three-letter tail and letter, so a
+        # node that ends a b = 1 instance is counted but never scanned, and a
+        # word of fewer than 8 letters (whose only split has b = 1) neither.
+        # Recorded at the commit before the tail table: of 43,810 nodes,
+        # 28,419 ended a b = 1 instance and 107 survivors had fewer than 8
+        # letters; 139 factors with b = 1 and 948 with b >= 2 were decided.
+        scans = _recording(monkeypatch, "_suffix_split")
+        outcomes = _recording(monkeypatch, "_split_outcome")
+        calls = _recording(monkeypatch, "_match")
+        config = SearchConfig.for_params(
+            alphabet=4, params={1, 2, 4, 6, 7}, model=PermModel.FULL_CYCLE, length_cap=40
+        )
+        result = longest_avoiding_word(config)
+        assert result.as_json() == {
+            "max_length_found": 36,
+            "witness_word": "010210210210011002211002211002211000",
+            "exhausted": True,
+            "nodes_visited": 43_810,
+        }
+        assert len(scans) == 43_810 - 28_419 - 107 == 15_284
+        assert all(args[2] >= 8 for args in scans)
+        assert sum(args[1] == 1 for args in outcomes) == 139
+        assert sum(args[1] >= 2 for args in outcomes) == 948
+        assert len({args[0] for args in outcomes}) == 139 + 948
+        assert len(calls) == 681
 
     def test_only_public_results_build_witnesses(self, monkeypatch):
         # the search and a clean scan only decide; each public hit is

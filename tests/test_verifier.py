@@ -159,6 +159,14 @@ class TestVerifyPrefixAvoids:
                     max_block_length, prefix_length,
                 )
 
+    def test_huge_prefix_rejected_before_generation(self):
+        # the bound is checked before any letter is generated, so the call
+        # returns at once instead of growing a 10**11-letter prefix
+        with pytest.raises(ValueError, match="exceeds the supported 10,000,000 letters"):
+            verify_prefix_avoids(
+                h_alpha_spec(), [2], PermModel.ALL_PERMUTATIONS, 30, 100_000_000_000
+            )
+
     def test_detector_cross_check_on_h_alpha_factors(self):
         # sample factors of the five-letter word and compare the detector's
         # verdict with an independent exponent-existence enumeration over all
