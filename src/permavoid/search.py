@@ -51,17 +51,15 @@ builds none for its 32,850 pruned nodes.
 
 Every split with b = 1 passes the filter (``prev[t] >= 1``), and its outcome
 depends only on the last four letters: the parent's last three and the new
-letter.  So ``longest_avoiding_word`` decides b = 1 for all children of a
-node when it pushes the node, from one table per search keyed by the node's
-last three letters.  An entry holds the letters decided so far and a bit mask
-of those that end an instance; it is extended lazily, one ``_split_outcome``
-call per new letter, so each 4-letter factor is still decided once per
-search.  A child in the mask is counted as a node and dropped without being
-appended or scanned; a surviving child's scan starts at b = 2, and a word of
-fewer than 8 letters, whose only split has b = 1, is not scanned at all.  The
-table holds at most m^3 entries, and the model-size cap keeps m <= 9 (729
-entries), so it needs no bound of its own.  In the family-1 search 28,419 of
-the 43,810 nodes end a b = 1 instance; 15,284 scans remain.
+letter.  So ``longest_avoiding_word`` keeps one table per search from those
+four letters to whether they end an instance, and looks a child up before
+appending it; a factor not yet in the table is decided then, so each 4-letter
+factor is decided once per search and only when a node ending in it is
+visited.  A child that ends a b = 1 instance is counted as a node and dropped
+without being appended or scanned; a surviving child's scan starts at b = 2,
+and a word of fewer than 8 letters, whose only split has b = 1, is not
+scanned at all.  The table holds at most m^4 entries, and the model-size cap
+keeps m <= 9 (6,561 entries), so it needs no bound of its own.
 """
 
 from __future__ import annotations
@@ -437,17 +435,14 @@ def longest_avoiding_word(config: SearchConfig) -> SearchResult:
     budget_hit = False
     cap_hit = False
     memo: dict = {}
-    # tails[(w[-3] << 16) | (w[-2] << 8) | w[-1]] = (decided, mask): bit x of
-    # mask is set when letter x after that tail ends a b = 1 instance, for
-    # the letters x < decided decided so far (see the module docstring)
-    tails: dict = {}
+    # ends[(w[-3] << 24) | (w[-2] << 16) | (w[-1] << 8) | c]: whether the
+    # letter c after the tail w[-3:] ends a b = 1 instance (module docstring)
+    ends: dict = {}
 
     # next_letter[d] is the next candidate at position d; high[d] is the
-    # largest letter used before position d (fresh letters ascend); dead[d]
-    # is the b = 1 mask of the letters at position d.
+    # largest letter used before position d (fresh letters ascend).
     next_letter = [0]
     high = [-1]
-    dead = [0]
     while next_letter:
         depth = len(next_letter) - 1
         if len(w) > depth:
@@ -457,7 +452,6 @@ def longest_avoiding_word(config: SearchConfig) -> SearchResult:
         if c >= m or c > high[depth] + 1:
             next_letter.pop()
             high.pop()
-            dead.pop()
             continue
         next_letter[depth] = c + 1
         nodes += 1
@@ -468,8 +462,14 @@ def longest_avoiding_word(config: SearchConfig) -> SearchResult:
             logger.debug(
                 "search: %d nodes, depth %d, best %d, memo %d", nodes, depth, len(best), len(memo)
             )
-        if dead[depth] >> c & 1:
-            continue
+        if depth >= 3:
+            key = (w[-3] << 24) | (w[-2] << 16) | (w[-1] << 8) | c
+            dead = ends.get(key)
+            if dead is None:
+                factor = bytes((w[-3], w[-2], w[-1], c))
+                dead = ends[key] = _split_outcome(factor, 1, config, compiled) is not None
+            if dead:
+                continue
         prev.append(len(w) - w.rfind(c))  # rfind gives -1 when c is new
         w.append(c)
         n = len(w)
@@ -480,20 +480,8 @@ def longest_avoiding_word(config: SearchConfig) -> SearchResult:
         if n >= cap:
             cap_hit = True
             break
-        top = high[depth] if high[depth] >= c else c
         next_letter.append(0)
-        high.append(top)
-        mask = 0
-        if n >= 3:
-            key = (w[-3] << 16) | (w[-2] << 8) | c
-            decided, mask = tails.get(key, (0, 0))
-            k = min(m, top + 2)
-            if decided < k:
-                for x in range(decided, k):
-                    if _split_outcome(bytes((w[-3], w[-2], c, x)), 1, config, compiled) is not None:
-                        mask |= 1 << x
-                tails[key] = (k, mask)
-        dead.append(mask)
+        high.append(high[depth] if high[depth] >= c else c)
 
     return SearchResult(
         max_length_found=len(best),

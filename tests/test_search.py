@@ -624,10 +624,11 @@ class TestScanMemo:
         assert len({args[1:5] for args in calls}) == 681
 
     def test_search36_decides_one_letter_blocks_per_tail(self, monkeypatch):
-        # the search decides b = 1 once per three-letter tail and letter, so a
-        # node that ends a b = 1 instance is counted but never scanned, and a
-        # word of fewer than 8 letters (whose only split has b = 1) neither.
-        # Recorded at the commit before the tail table: of 43,810 nodes,
+        # the search decides b = 1 once per four-letter factor, before the
+        # child is appended, so a node that ends a b = 1 instance is counted
+        # but never scanned, and a word of fewer than 8 letters (whose only
+        # split has b = 1) neither.
+        # Recorded at the commit before the b = 1 table: of 43,810 nodes,
         # 28,419 ended a b = 1 instance and 107 survivors had fewer than 8
         # letters; 139 factors with b = 1 and 948 with b >= 2 were decided.
         scans = _recording(monkeypatch, "_suffix_split")
@@ -649,6 +650,37 @@ class TestScanMemo:
         assert sum(args[1] >= 2 for args in outcomes) == 948
         assert len({args[0] for args in outcomes}) == 139 + 948
         assert len(calls) == 681
+
+    @pytest.mark.parametrize(
+        "exponents, budget, stopped, one, longer",
+        [
+            ((3, 6, 2), 200, {"max_length_found": 60, "nodes_visited": 125}, 29, 92),
+            ((3, 6, 2), 40, {"max_length_found": 20, "nodes_visited": 41}, 21, 18),
+            ((1, 7, 4), 40, {"max_length_found": 27, "nodes_visited": 41}, 14, 15),
+        ],
+    )
+    def test_stopped_search_decides_only_visited_factors(
+        self, monkeypatch, exponents, budget, stopped, one, longer
+    ):
+        # a search stopped by its cap or budget leaves siblings unvisited;
+        # their b = 1 factors must not be decided.  The counts were recorded
+        # at the commit before the b = 1 table, whose memo decided each
+        # visited factor once
+        outcomes = _recording(monkeypatch, "_split_outcome")
+        config = SearchConfig(
+            alphabet=4,
+            forbidden=frozenset(ALL_PATTERNS),
+            model=PermModel.ALL_PERMUTATIONS,
+            exponents=exponents,
+            length_cap=60,
+            node_budget=budget,
+        )
+        result = longest_avoiding_word(config)
+        assert result.exhausted is False
+        assert {key: result.as_json()[key] for key in stopped} == stopped
+        assert sum(args[1] == 1 for args in outcomes) == one
+        assert sum(args[1] >= 2 for args in outcomes) == longer
+        assert len({args[0] for args in outcomes}) == one + longer
 
     def test_only_public_results_build_witnesses(self, monkeypatch):
         # the search and a clean scan only decide; each public hit is
