@@ -19,17 +19,22 @@ the first letter is fixed to 0; this canonical-form pruning is sound because
 the forbidden relation is invariant under renaming the alphabet (all three
 permutation models are closed under conjugation).
 
-Every power of f is a bijection on letters, so in an instance each block is
-a relabelling of u: the last letter of a block recurs inside its block at the
-same distance in all four blocks, or in none of them.  The suffix check reads
-this off a previous-occurrence index, ``prev[t] = t - (last index before t
-holding w[t])``, or ``t + 1`` when there is none.  With ``p = prev[end - 1]``,
-block length b survives only if ``prev[end - 1 - k*b] == p`` for k = 1, 2, 3
-when ``p < b``, and only if each ``prev[end - 1 - k*b] >= b`` otherwise.  The
-splits it drops are not instances, and block lengths are still tried in
-ascending order, so witnesses and node counts are those of the unfiltered
-check; it runs before the blocks are sliced and saves most matcher calls.
-The search keeps ``prev`` in step with its word, one ``rfind`` per node.
+Every power of f is a bijection on letters, so in an instance the four
+blocks are relabellings of one another.  The suffix check tests this on a
+previous-occurrence index, ``prev[t] = t - (last index before t holding
+w[t])``, or ``t + 1`` when there is none, before any block is sliced.  This is
+Baker's prev-encoding from parameterized matching (B. S. Baker, "Parameterized
+pattern matching: algorithms and applications", JCSS 52, 1996), clipped to a
+block: a letter whose previous occurrence lies inside its block is coded by
+that distance, any other letter as new, and two blocks are relabellings
+exactly when their codes agree.  A position with ``inside`` letters of its
+block before it is coded by ``q = prev[t]`` when ``q < inside``, else as new.
+The last letters are compared first, in O(1) (``inside = b``); only a split
+that passes goes on to the remaining positions (``_same_shape``), the first
+letter of a block being new in every block.  The splits it drops are not
+instances, and block lengths are still tried in ascending order, so witnesses
+and node counts are those of the unfiltered check.  The search keeps ``prev``
+in step with its word, one ``rfind`` per node.
 
 Whether a split is an instance, and by which pattern, permutation and
 exponents, depends only on its factor ``w[end - 4b:end]`` and the config, not
@@ -40,14 +45,12 @@ witnesses and node counts are those of the unmemoised check, and a memoised
 witness still reports its own start.  Memory is bounded independently of the
 word length and of the block bound: only blocks of at most 64 letters are
 memoised (keys of at most 256 bytes), and the memo is emptied when it reaches
-65,536 entries, about 25 MB at worst.  The family-1 search asks the matcher
-about 681 factors instead of 39,017 splits.
+65,536 entries, about 25 MB at worst.
 
 The scan only decides: a hit is the block length and the memoised outcome,
 and the search prunes on it without building anything.  Only
 ``suffix_instance`` and ``verify_word_avoids`` build an ``InstanceWitness``
-(``_suffix_witness``), once, for the split they return; the family-1 search
-builds none for its 32,850 pruned nodes.
+(``_suffix_witness``), once, for the split they return.
 
 Every split with b = 1 passes the filter (``prev[t] >= 1``), and its outcome
 depends only on the last four letters: the parent's last three and the new
@@ -310,6 +313,25 @@ def _prev_index(w: bytes) -> list[int]:
     return prev
 
 
+def _same_shape(prev: list[int], last: int, b: int) -> bool:
+    """Whether the four b-letter blocks ending at ``last`` are relabellings of one another.
+
+    Compares the blocks' clipped prev-encodings (module docstring) at every
+    position but the last, which the caller has compared, and the first,
+    which is new in every block.
+    """
+    for j in range(1, b - 1):
+        x = last - j
+        inside = b - j  # a recurrence at a distance below this lies inside the block
+        q = prev[x]
+        if q < inside:
+            if prev[x - b] != q or prev[x - 2 * b] != q or prev[x - 3 * b] != q:
+                return False
+        elif prev[x - b] < inside or prev[x - 2 * b] < inside or prev[x - 3 * b] < inside:
+            return False
+    return True
+
+
 def _split_outcome(factor: bytes, b: int, config: SearchConfig, compiled: _Compiled):
     """(pattern, permutation, exponents) when ``factor``'s four b-letter blocks form an instance."""
     u, v1, v2, v3 = factor[:b], factor[b : 2 * b], factor[2 * b : 3 * b], factor[3 * b :]
@@ -339,10 +361,11 @@ def _suffix_split(
     report.
 
     ``prev`` is the previous-occurrence index of w (at least its first
-    ``end`` entries); splits whose blocks' last letters recur at different
-    distances inside their blocks are skipped unsliced.  ``memo`` maps the
-    factors of splits already decided under this config to their outcomes.
-    Block lengths below ``first`` are not tried.
+    ``end`` entries); a split whose four blocks are not relabellings of one
+    another (module docstring) is skipped unsliced: the last letters are
+    compared first, the other positions by ``_same_shape``.  ``memo`` maps
+    the factors of splits already decided under this config to their
+    outcomes.  Block lengths below ``first`` are not tried.
     """
     top = min(end // 4, max_block)
     last = end - 1
@@ -352,6 +375,8 @@ def _suffix_split(
             if prev[last - b] != p or prev[last - 2 * b] != p or prev[last - 3 * b] != p:
                 continue
         elif prev[last - b] < b or prev[last - 2 * b] < b or prev[last - 3 * b] < b:
+            continue
+        if b > 2 and not _same_shape(prev, last, b):
             continue
         s = end - 4 * b
         factor = w[s:end]
@@ -381,9 +406,20 @@ def _suffix_witness(w: bytes, end: int, found) -> InstanceWitness:
     )
 
 
-def suffix_instance(word: WordLike, config: SearchConfig) -> InstanceWitness | None:
-    """First forbidden instance that is a suffix of the word, over all block lengths."""
+def _letters(word: WordLike, alphabet: int) -> bytes:
+    """The word's letters, rejecting any outside the config's alphabet as ``Word`` does."""
     w = as_letters(word)
+    if w and max(w) >= alphabet:
+        raise ValueError(f"letter {max(w)} out of range for alphabet of size {alphabet}")
+    return w
+
+
+def suffix_instance(word: WordLike, config: SearchConfig) -> InstanceWitness | None:
+    """First forbidden instance that is a suffix of the word, over all block lengths.
+
+    A letter outside the config's alphabet raises ``ValueError``.
+    """
+    w = _letters(word, config.alphabet)
     compiled = _compiled(config.model, config.alphabet)
     found = _suffix_split(w, _prev_index(w), len(w), config, compiled, len(w), {})
     return None if found is None else _suffix_witness(w, len(w), found)
@@ -396,11 +432,12 @@ def verify_word_avoids(
 
     Scans suffixes of every prefix in increasing length, so the result agrees
     with running :func:`suffix_instance` on each prefix in turn.  ``max_block``
-    bounds the block length and must be positive.
+    bounds the block length and must be positive.  A letter outside the
+    config's alphabet raises ``ValueError``.
     """
     if max_block is not None and max_block < 1:
         raise ValueError(f"max_block must be positive, got {max_block}")
-    w = as_letters(word)
+    w = _letters(word, config.alphabet)
     compiled = _compiled(config.model, config.alphabet)
     prev = _prev_index(w)
     limit = max_block if max_block is not None else len(w)

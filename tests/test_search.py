@@ -46,6 +46,11 @@ def _last_gap(block):
     return next((d for d in range(1, len(block)) if block[-1 - d] == block[-1]), None)
 
 
+def _relabellings(blocks):
+    """Whether the blocks are relabellings of one another: one first-occurrence shape."""
+    return len({canonical_pattern(block) for block in blocks}) == 1
+
+
 class TestModels:
     def test_full_cycle_counts_and_orders(self):
         for m in (2, 3, 4, 5):
@@ -346,8 +351,8 @@ class TestSuffixInstance:
 
     def test_relabelling_filter_is_exact(self, monkeypatch):
         # the matcher sees exactly the splits whose pattern is forbidden and
-        # whose four blocks' last letters recur at one distance inside their
-        # blocks, or in none of them; others are skipped without a call
+        # whose four blocks are relabellings of one another; others are
+        # skipped without a call
         calls = []
 
         def record(compiled, u, v1, v2, v3, exponents):
@@ -357,7 +362,7 @@ class TestSuffixInstance:
 
         rng = random.Random(2718)
         passed = skipped = 0
-        for _ in range(3000):
+        for _ in range(3500):
             m = rng.choice((2, 3, 4))
             w = bytes(rng.randrange(m) for _ in range(rng.randint(0, 8)))
             if rng.random() < 0.5:
@@ -377,13 +382,68 @@ class TestSuffixInstance:
                 blocks = tuple(w[n - (4 - l) * b : n - (3 - l) * b] for l in range(4))
                 if canonical_pattern(blocks) not in forbidden:
                     continue
-                if len({_last_gap(block) for block in blocks}) == 1:
+                if _relabellings(blocks):
                     expected.append(blocks)
                     passed += b > 1
                 else:
                     skipped += 1
             assert calls == expected
         assert passed >= 200 and skipped >= 2000
+
+    def test_long_blocks_match_oracle(self):
+        # u f^e1(u) f^e2(u) f^e3(u) with blocks of 65-100 letters, longer than
+        # any memoised block, one letter changed in every other word; u is a
+        # factor of the square-free ternary Thue word, so verify_word_avoids
+        # often reaches the planted split before any shorter instance
+        thue = load_spec("ternary-thue").generate(2000).letters
+        rng = random.Random(6502)
+        seen = Counter()
+        for m in (3, 4):
+            perms = model_permutations(PermModel.ALL_PERMUTATIONS, m)
+            tables = [perm_powers(p.images) for p in perms]
+            for exponents in (None, (1, 2, 3), (2, 5, 7)):
+                for draw in range(20):
+                    length = rng.randint(65, 100)
+                    s = rng.randrange(len(thue) - length)
+                    letters = rng.sample(range(m), 3)
+                    u = bytes(letters[a] for a in thue[s : s + length])
+                    f = rng.choice(tables)
+                    powers = exponents or [rng.randint(1, 2 * len(f)) for _ in range(3)]
+                    planted = [u] + [bytes(f[e % len(f)][a] for a in u) for e in powers]
+                    w = bytes(rng.randrange(m) for _ in range(rng.randint(0, 8)))
+                    w += b"".join(planted)
+                    if draw % 2:
+                        t = rng.randrange(len(w))
+                        w = w[:t] + bytes([(w[t] + rng.randrange(1, m)) % m]) + w[t + 1 :]
+                    forbidden = frozenset({canonical_pattern(planted)})
+                    config = SearchConfig(alphabet=m, forbidden=forbidden, exponents=exponents)
+                    scans = [("suffix", suffix_instance(w, config), [len(w)])]
+                    if draw < 4:  # the prefixwise oracle is slow at these lengths
+                        verified = verify_word_avoids(w, config)
+                        scans.append(("verify", verified, range(4, len(w) + 1)))
+                    for scan, got, ends in scans:
+                        expected = None
+                        for end in ends:
+                            expected = oracle_suffix_witness(w[:end], tables, forbidden, exponents)
+                            if expected is not None:
+                                break
+                        if expected is None:
+                            assert got is None
+                            seen[scan, "none"] += 1
+                            continue
+                        start, b, index, found = expected
+                        blocks = [w[start + l * b : start + (l + 1) * b] for l in range(4)]
+                        assert got.as_json() == {
+                            "start": start,
+                            "block_length": b,
+                            "blocks": ["".join(str(a) for a in blk) for blk in blocks],
+                            "permutation": list(perms[index].images),
+                            "exponents": list(found),
+                            "pattern": canonical_pattern(blocks),
+                        }
+                        seen[scan, "long" if b > 64 else "short"] += 1
+        assert seen["suffix", "long"] >= 50 and seen["suffix", "none"] >= 50
+        assert seen["verify", "long"] >= 5
 
 
 class TestVerifyWordAvoids:
@@ -415,6 +475,16 @@ class TestVerifyWordAvoids:
         w = "01" * 4  # (01)^4 is a 4-power with block length 2
         assert verify_word_avoids(w, config, max_block=1) is None
         assert verify_word_avoids(w, config, max_block=2) is not None
+
+    def test_letters_outside_alphabet_rejected(self):
+        # a permutation of {0, 1} does not act on letter 2: "2222" is no
+        # 0000 instance under it, and "0123" is no word over two letters
+        config = SearchConfig(alphabet=2, forbidden=frozenset({"0000"}))
+        for scan in (verify_word_avoids, suffix_instance):
+            for word, letter in (("2222", 2), ("0123", 3), (Word.parse("0120", alphabet=3), 2)):
+                message = f"^letter {letter} out of range for alphabet of size 2$"
+                with pytest.raises(ValueError, match=message):
+                    scan(word, config)
 
     def test_nonpositive_block_bound_rejected(self):
         # a bound below 1 would check no split at all and report "avoids"
@@ -593,11 +663,13 @@ class TestScanMemo:
 
     def test_memo_bounded(self, monkeypatch):
         # blocks longer than 64 letters are decided without the memo, and the
-        # memo never holds more than its entry cap
+        # memo never holds more than its entry cap; the periodic tail gives
+        # long splits whose blocks are relabellings, which a random word lacks
         monkeypatch.setattr(search_module, "_MEMO_MAX_ENTRIES", 50)
         outcomes = _recording(monkeypatch, "_split_outcome")
         rng = random.Random(1729)
         w = bytes(rng.randrange(3) for _ in range(700))
+        w += bytes(rng.randrange(3) for _ in range(13)) * 40
         config = SearchConfig(alphabet=3, forbidden=frozenset({"0123", "0012"}))
         compiled = search_module._compiled(config.model, config.alphabet)
         prev = search_module._prev_index(w)
@@ -612,16 +684,17 @@ class TestScanMemo:
         assert sum(b > 64 for _, b, _, _ in outcomes) >= 100
 
     def test_search36_matcher_calls_pinned(self, monkeypatch):
-        # 39,017 splits of the family-1 tree pass the relabelling filter; 681
-        # of them are distinct factors that reach the matcher, each once
+        # 519 distinct factors of the family-1 tree have a forbidden pattern
+        # and four blocks that are relabellings; each reaches the matcher once
+        # (test_search36_decides_one_letter_blocks_per_tail recounts them)
         calls = _recording(monkeypatch, "_match")
         config = SearchConfig.for_params(
             alphabet=4, params={1, 2, 4, 6, 7}, model=PermModel.FULL_CYCLE, length_cap=40
         )
         result = longest_avoiding_word(config)
         assert (result.max_length_found, result.nodes_visited) == (36, 43_810)
-        assert len(calls) == 681
-        assert len({args[1:5] for args in calls}) == 681
+        assert len(calls) == 519
+        assert len({args[1:5] for args in calls}) == 519
 
     def test_search36_decides_one_letter_blocks_per_tail(self, monkeypatch):
         # the search decides b = 1 once per four-letter factor, before the
@@ -630,7 +703,11 @@ class TestScanMemo:
         # split has b = 1) neither.
         # Recorded at the commit before the b = 1 table: of 43,810 nodes,
         # 28,419 ended a b = 1 instance and 107 survivors had fewer than 8
-        # letters; 139 factors with b = 1 and 948 with b >= 2 were decided.
+        # letters; 139 factors with b = 1 were decided.  The factors with
+        # b >= 2 that are decided, and those that reach the matcher, are
+        # recounted from the scans: in ascending b up to the scan's first
+        # instance, each split whose blocks are relabellings, and of those the
+        # ones with a forbidden pattern.
         scans = _recording(monkeypatch, "_suffix_split")
         outcomes = _recording(monkeypatch, "_split_outcome")
         calls = _recording(monkeypatch, "_match")
@@ -647,25 +724,41 @@ class TestScanMemo:
         assert len(scans) == 43_810 - 28_419 - 107 == 15_284
         assert all(args[2] >= 8 for args in scans)
         assert sum(args[1] == 1 for args in outcomes) == 139
-        assert sum(args[1] >= 2 for args in outcomes) == 948
-        assert len({args[0] for args in outcomes}) == 139 + 948
-        assert len(calls) == 681
+        tables = [perm_powers(p.images) for p in model_permutations(config.model, 4)]
+        decided = set()
+        matched = {
+            args[0]
+            for args in outcomes
+            if args[1] == 1 and canonical_pattern(args[0]) in config.forbidden
+        }
+        for w, _, n, *_ in scans:
+            hit = oracle_suffix_witness(w[:n], tables, config.forbidden)
+            for b in range(2, (hit[1] if hit else n // 4) + 1):
+                blocks = [w[n - (4 - l) * b : n - (3 - l) * b] for l in range(4)]
+                if _relabellings(blocks):
+                    decided.add(w[n - 4 * b : n])
+                    if canonical_pattern(blocks) in config.forbidden:
+                        matched.add(w[n - 4 * b : n])
+        assert sum(args[1] >= 2 for args in outcomes) == len(decided) == 606
+        assert len({args[0] for args in outcomes}) == 139 + 606
+        assert len(calls) == len(matched) == 519
 
     @pytest.mark.parametrize(
         "exponents, budget, stopped, one, longer",
         [
-            ((3, 6, 2), 200, {"max_length_found": 60, "nodes_visited": 125}, 29, 92),
+            ((3, 6, 2), 200, {"max_length_found": 60, "nodes_visited": 125}, 29, 56),
             ((3, 6, 2), 40, {"max_length_found": 20, "nodes_visited": 41}, 21, 18),
-            ((1, 7, 4), 40, {"max_length_found": 27, "nodes_visited": 41}, 14, 15),
+            ((1, 7, 4), 40, {"max_length_found": 27, "nodes_visited": 41}, 14, 13),
         ],
     )
     def test_stopped_search_decides_only_visited_factors(
         self, monkeypatch, exponents, budget, stopped, one, longer
     ):
         # a search stopped by its cap or budget leaves siblings unvisited;
-        # their b = 1 factors must not be decided.  The counts were recorded
-        # at the commit before the b = 1 table, whose memo decided each
-        # visited factor once
+        # their b = 1 factors must not be decided.  The b = 1 counts were
+        # recorded at the commit before the b = 1 table, whose memo decided
+        # each visited factor once; the b >= 2 counts are those of splits
+        # whose four blocks are relabellings
         outcomes = _recording(monkeypatch, "_split_outcome")
         config = SearchConfig(
             alphabet=4,
@@ -704,7 +797,7 @@ class TestScanMemo:
             "exhausted": True,
             "nodes_visited": 43_810,
         }
-        assert len(calls) == 681
+        assert len(calls) == 519
         assert built == []
         assert verify_word_avoids(result.witness_word, config) is None
         assert built == []
@@ -845,6 +938,50 @@ class TestLongestAvoidingWord:
             "witness_word": "010210210210011002211002211002211000",
             "exhausted": True,
             "nodes_visited": 43_810,
+        }
+
+    @staticmethod
+    def all_patterns_m7(exponents, cap):
+        # fixed mode, `all` model over 7 letters, every representation forbidden
+        return SearchConfig.for_params(
+            alphabet=7,
+            params=range(1, 15),
+            model=PermModel.ALL_PERMUTATIONS,
+            exponents=exponents,
+            length_cap=cap,
+        )
+
+    def test_362_at_m7_exhausted(self):
+        # sigma(3, 6, 2) = 6, and m = 7 is unavoidable by a finite search
+        result = longest_avoiding_word(self.all_patterns_m7((3, 6, 2), 400))
+        assert result.as_json() == {
+            "max_length_found": 48,
+            "witness_word": "011002211002211002211001100110011021021021010101",
+            "exhausted": True,
+            "nodes_visited": 547_011,
+        }
+
+    def test_634_at_m7_reaches_cap(self):
+        # sigma(6, 3, 4) = 6, yet m = 7 reaches the cap; the word is clean
+        # for the triple under the witness set S = {1, 2, 6, 7, 14} too, and
+        # in abstract mode under S it holds a 0120 instance of a 3-cycle
+        config = self.all_patterns_m7((6, 3, 4), 300)
+        result = longest_avoiding_word(config)
+        word = result.witness_word
+        summary = (result.max_length_found, result.exhausted, result.nodes_visited)
+        assert summary == (300, False, 2626)
+        assert hashlib.sha256(word.text().encode()).hexdigest().startswith("fec42c13fe97472c")
+        witness_set = {1, 2, 6, 7, 14}
+        fixed = SearchConfig.for_params(7, witness_set, exponents=(6, 3, 4))
+        assert verify_word_avoids(word, config) is None
+        assert verify_word_avoids(word, fixed) is None
+        assert verify_word_avoids(word, SearchConfig.for_params(7, witness_set)).as_json() == {
+            "start": 42,
+            "block_length": 6,
+            "blocks": ["220022", "001100", "112211", "220022"],
+            "permutation": [1, 2, 0, 3, 4, 5, 6],
+            "exponents": [1, 2, 3],
+            "pattern": "0120",
         }
 
     def test_monotone_in_forbidden_set(self):
