@@ -243,10 +243,14 @@ def profile(e) -> AlphaProfile:
 
 
 def realizable(a: int, e, m: int) -> bool:
-    """True iff some word and permutation of {0..m-1} realize representation a.
+    """True iff some one-letter x and permutation of {0..m-1} realize representation a.
 
-    Equivalent to alpha_a <= m: an orbit of length alpha_a fits in the
-    alphabet exactly when m is at least alpha_a.
+    This is alpha_a <= m: an orbit of length alpha_a fits in the alphabet
+    exactly when m is at least alpha_a.  Longer blocks can realize a with
+    fewer letters, since a block's equality pattern is the meet of its
+    letters' patterns and letters on distinct orbits can share the alphabet:
+    ``realizable(2, (6, 3, 4), 5)`` is False (alpha_2 = 6), yet under
+    (0 2)(1 3 4) the factor 01 01 21 03 realizes 0012 over five letters.
     """
     if m < 2:
         raise ValueError("alphabet size must be at least 2")

@@ -63,6 +63,27 @@ without being appended or scanned; a surviving child's scan starts at b = 2,
 and a word of fewer than 8 letters, whose only split has b = 1, is not
 scanned at all.  The table holds at most m^4 entries, and the model-size cap
 keeps m <= 9 (6,561 entries), so it needs no bound of its own.
+
+A node's candidates are tried in one inner loop, the sibling loop: each is
+counted as a node (the budget and the progress lines see every one), and a
+run of candidates that end a b = 1 instance is passed over there, each looked
+up or decided as above, without a trip through the outer loop.  The path from
+the root is kept as one tuple per ancestor (its next candidate, its bound on
+candidates and the key of its last three letters) and the current word as
+``bytes``: a child is the word plus one letter and a return drops the last
+one, so no prefix is stored and memory stays linear in the depth.
+
+Whether a permutation's powers map u onto the other three blocks
+(``_match``) depends only on the factor, the model, the alphabet and the
+exponents, not on the forbidden set.  So ``_split_outcome`` keeps one table
+for the whole process from factor to ``_match``'s answer, read after the
+config's pattern test (and so behind each scan's memo).  It has the memo's
+bounds, blocks of at most 64 letters and at most 65,536 entries (emptied when
+full), and it is emptied whenever a split of another (model, alphabet,
+exponents) is decided.  Searches of one model, such as the subset loops of a
+criterion scan, thus reuse each other's verdicts while that model is in use.
+In fixed mode the tables ``_match`` walks hold each permutation's i-th, j-th
+and k-th powers, built when the table changes hands.
 """
 
 from __future__ import annotations
@@ -274,33 +295,57 @@ def _compiled(model: PermModel, m: int) -> _Compiled:
 
 
 def _match(
-    compiled: _Compiled, u: bytes, v1: bytes, v2: bytes, v3: bytes, exponents: tuple[int, int, int] | None
+    tables: tuple, u: bytes, v1: bytes, v2: bytes, v3: bytes, exponents: tuple[int, int, int] | None
 ):
     """First (permutation, exponents) whose powers map u onto v1, v2 and v3, or None.
 
-    In abstract mode (exponents None) each reported exponent is the least
-    power in 0..order(f)-1 that maps u onto the block, with 0 written as
-    order(f); in fixed mode the exponents are the given ones.  The mode is
-    tested once per call: a test inside the loop over permutations slows the
-    fixed-mode searches measurably.
+    ``tables`` is the verdict table's ``tables`` for the config: in abstract
+    mode the compiled model, in fixed mode each permutation with its i-th,
+    j-th and k-th power tables.  In abstract mode (exponents None) each
+    reported exponent is the least power in 0..order(f)-1 that maps u onto
+    the block, with 0 written as order(f); in fixed mode the exponents are
+    the given ones.  The mode is tested once per call: a test inside the loop
+    over permutations slows the fixed-mode searches measurably.
     """
     if exponents is None:
-        for perm, tables in compiled:
-            images = [u.translate(table) for table in tables]
+        for perm, powers in tables:
+            images = [u.translate(table) for table in powers]
             if v1 in images and v2 in images and v3 in images:
-                order = len(tables)
+                order = len(powers)
                 return perm, tuple(images.index(v) or order for v in (v1, v2, v3))
         return None
-    i, j, k = exponents
-    for perm, tables in compiled:
-        order = len(tables)
-        if (
-            v1 == u.translate(tables[i % order])
-            and v2 == u.translate(tables[j % order])
-            and v3 == u.translate(tables[k % order])
-        ):
+    for perm, ti, tj, tk in tables:
+        if v1 == u.translate(ti) and v2 == u.translate(tj) and v3 == u.translate(tk):
             return perm, exponents
     return None
+
+
+class _Verdicts:
+    """The process-wide verdict table (module docstring): factor -> ``_match``'s result.
+
+    It belongs to one compiled model and exponent triple, and ``tables`` is
+    what ``_match`` walks for them: the compiled model, or in fixed mode each
+    permutation with its i-th, j-th and k-th power tables.  Another pair gets
+    a new instance rather than a changed one, so a caller that read
+    ``_verdicts`` once works on one consistent table even if another thread
+    hands the table to another model meanwhile.
+    """
+
+    def __init__(self, compiled: _Compiled | None, exponents: tuple[int, int, int] | None) -> None:
+        self.compiled = compiled
+        self.exponents = exponents
+        self.table: dict = {}
+        if exponents is None:
+            self.tables = compiled
+        else:
+            i, j, k = exponents
+            self.tables = tuple(
+                (perm, powers[i % len(powers)], powers[j % len(powers)], powers[k % len(powers)])
+                for perm, powers in compiled
+            )
+
+
+_verdicts = _Verdicts(None, None)
 
 
 def _prev_index(w: bytes) -> list[int]:
@@ -333,12 +378,28 @@ def _same_shape(prev: list[int], last: int, b: int) -> bool:
 
 
 def _split_outcome(factor: bytes, b: int, config: SearchConfig, compiled: _Compiled):
-    """(pattern, permutation, exponents) when ``factor``'s four b-letter blocks form an instance."""
+    """(pattern, permutation, exponents) when ``factor``'s four b-letter blocks form an instance.
+
+    A factor whose pattern is forbidden is looked up in the shared verdict
+    table before it goes to the matcher.
+    """
     u, v1, v2, v3 = factor[:b], factor[b : 2 * b], factor[2 * b : 3 * b], factor[3 * b :]
     pattern = blocks_pattern(u, v1, v2, v3)
     if pattern not in config.forbidden:
         return None
-    hit = _match(compiled, u, v1, v2, v3, config.exponents)
+    global _verdicts
+    shared = _verdicts
+    exponents = config.exponents
+    if shared.compiled is not compiled or shared.exponents != exponents:
+        shared = _verdicts = _Verdicts(compiled, exponents)
+    table = shared.table
+    hit = table.get(factor, _UNSEEN)
+    if hit is _UNSEEN:
+        hit = _match(shared.tables, u, v1, v2, v3, exponents)
+        if b <= _MEMO_MAX_BLOCK:
+            if len(table) >= _MEMO_MAX_ENTRIES:
+                table.clear()
+            table[factor] = hit
     if hit is None:
         return None
     return pattern, *hit
@@ -367,7 +428,9 @@ def _suffix_split(
     the factors of splits already decided under this config to their
     outcomes.  Block lengths below ``first`` are not tried.
     """
-    top = min(end // 4, max_block)
+    top = end // 4
+    if max_block < top:
+        top = max_block
     last = end - 1
     p = prev[last] if end else 0  # the empty word has no splits
     for b in range(first, top + 1):
@@ -465,63 +528,80 @@ def longest_avoiding_word(config: SearchConfig) -> SearchResult:
     compiled = _compiled(config.model, m)
     cap = config.length_cap
     budget = config.node_budget
-    w = bytearray()
+    letters = [bytes((c,)) for c in range(m)]
+    memo: dict = {}
+    # ends[tail | c]: whether the letter c after the word's last three letters
+    # ends a b = 1 instance (module docstring)
+    ends: dict = {}
     prev: list[int] = []
     best = b""
+    best_n = 0
     nodes = 0
     budget_hit = False
     cap_hit = False
-    memo: dict = {}
-    # ends[(w[-3] << 24) | (w[-2] << 16) | (w[-1] << 8) | c]: whether the
-    # letter c after the tail w[-3:] ends a b = 1 instance (module docstring)
-    ends: dict = {}
-
-    # next_letter[d] is the next candidate at position d; high[d] is the
-    # largest letter used before position d (fresh letters ascend).
-    next_letter = [0]
-    high = [-1]
-    while next_letter:
-        depth = len(next_letter) - 1
-        if len(w) > depth:
-            w.pop()
-            prev.pop()
-        c = next_letter[depth]
-        if c >= m or c > high[depth] + 1:
-            next_letter.pop()
-            high.pop()
-            continue
-        next_letter[depth] = c + 1
-        nodes += 1
-        if nodes > budget:
-            budget_hit = True
-            break
-        if nodes % _PROGRESS_EVERY == 0:
-            logger.debug(
-                "search: %d nodes, depth %d, best %d, memo %d", nodes, depth, len(best), len(memo)
-            )
-        if depth >= 3:
-            key = (w[-3] << 24) | (w[-2] << 16) | (w[-1] << 8) | c
-            dead = ends.get(key)
+    # the node at the top of the path: its word w of n letters, its next
+    # candidate c, its candidates' bound top (fresh letters ascend) and tail,
+    # w's last three letters as (w[-3] << 24) | (w[-2] << 16) | (w[-1] << 8);
+    # path holds (next candidate, top, tail) of each node below it
+    w = b""
+    n = 0
+    c, top, tail = 0, 1, 0
+    path: list[tuple[int, int, int]] = []
+    stop = min(budget + 1, _PROGRESS_EVERY)  # the next node count that logs or stops
+    while True:
+        # the sibling loop: count each candidate as a node and skip those that
+        # end a b = 1 instance, until one survives or the candidates run out
+        while c < top:
+            nodes += 1
+            if nodes == stop:
+                if nodes > budget:
+                    budget_hit = True
+                    break
+                logger.debug(
+                    "search: %d nodes, depth %d, best %d, memo %d", nodes, n, best_n, len(memo)
+                )
+                stop = min(budget + 1, nodes + _PROGRESS_EVERY)
+            if n < 3:
+                break
+            dead = ends.get(tail | c)
             if dead is None:
-                factor = bytes((w[-3], w[-2], w[-1], c))
-                dead = ends[key] = _split_outcome(factor, 1, config, compiled) is not None
-            if dead:
-                continue
-        prev.append(len(w) - w.rfind(c))  # rfind gives -1 when c is new
-        w.append(c)
-        n = len(w)
-        if n >= 8 and _suffix_split(bytes(w), prev, n, config, compiled, n, memo, 2) is not None:
+                factor = w[-3:] + letters[c]
+                dead = ends[tail | c] = _split_outcome(factor, 1, config, compiled) is not None
+            if not dead:
+                break
+            c += 1
+        else:
+            if not path:
+                break
+            c, top, tail = path.pop()
+            w = w[:-1]
+            n -= 1
+            prev.pop()
             continue
-        if n > len(best):
-            best = bytes(w)
+        if budget_hit:
+            break
+        prev.append(n - w.rfind(c))  # rfind gives -1 when c is new
+        child = w + letters[c]
+        end = n + 1
+        if end >= 8 and _suffix_split(child, prev, end, config, compiled, end, memo, 2) is not None:
+            prev.pop()
+            c += 1
+            continue
+        path.append((c + 1, top, tail))
+        w = child
+        n += 1
+        if n > best_n:
+            best, best_n = w, n
         if n >= cap:
             cap_hit = True
             break
-        next_letter.append(0)
-        high.append(high[depth] if high[depth] >= c else c)
+        if c + 1 == top < m:
+            top += 1
+        tail = ((tail | c) << 8) & 0xFFFFFF00
+        c = 0
 
     return SearchResult(
-        max_length_found=len(best),
+        max_length_found=best_n,
         witness_word=Word(best, m),
         exhausted=not budget_hit and not cap_hit,
         nodes_visited=nodes,

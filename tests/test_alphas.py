@@ -280,6 +280,17 @@ class TestRealizable:
         with pytest.raises(ValueError):
             realizable(1, (1, 2, 3), 1)
 
+    def test_longer_blocks_realize_with_fewer_letters(self):
+        # realizable speaks of a one-letter x only: for (6, 3, 4) a 2-letter
+        # block on orbits of lengths 2 and 3 realizes 0012 over five letters
+        from permavoid.search import SearchConfig, suffix_instance
+
+        assert realizable(2, (6, 3, 4), 5) is False
+        config = SearchConfig(alphabet=5, forbidden=frozenset({"0012"}), exponents=(6, 3, 4))
+        witness = suffix_instance("01012103", config)
+        assert witness.pattern == REPRESENTATIONS[2] == "0012"
+        assert witness.permutation.images == (2, 3, 0, 4, 1)
+
     def test_against_single_letter_permutation_oracle(self):
         # realizable(a, e, m) iff some letter and permutation of {0..m-1}
         # produce blocks modelling the representation

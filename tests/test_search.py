@@ -1,6 +1,10 @@
+import dataclasses
 import hashlib
 import json
+import logging
 import random
+import sys
+import threading
 from collections import Counter
 from itertools import permutations
 from math import factorial
@@ -26,6 +30,16 @@ from oracles import oracle_longest_avoiding_word, oracle_suffix_witness, perm_po
 
 
 POWER_TABLES = {m: [perm_powers(f) for f in permutations(range(m))] for m in (2, 3, 4)}
+
+
+@pytest.fixture(autouse=True)
+def empty_verdict_table():
+    """Start and end each test with an empty shared verdict table: matcher
+    counts are pinned from a cold table, and a test's stand-in ``_match``
+    must not leave its answers behind."""
+    search_module._verdicts.table.clear()
+    yield
+    search_module._verdicts.table.clear()
 
 
 def _recording(monkeypatch, name):
@@ -375,6 +389,7 @@ class TestSuffixInstance:
                     w = w[:t] + bytes([rng.randrange(m)]) + w[t + 1 :]
             forbidden = frozenset(rng.sample(ALL_PATTERNS, rng.randint(1, 15)))
             calls.clear()
+            search_module._verdicts.table.clear()  # else an earlier word's factors skip it
             assert suffix_instance(w, SearchConfig(alphabet=m, forbidden=forbidden)) is None
             n = len(w)
             expected = []
@@ -807,6 +822,86 @@ class TestScanMemo:
         assert len(built) == 2
 
 
+class TestSharedVerdicts:
+    def test_warm_table_changes_no_result(self, monkeypatch):
+        # searches of one model and exponent triple share the matcher's
+        # verdicts; a search after others, in either order, must give what it
+        # gives from an empty table.  Each fixed-mode config draws its own
+        # triple, so the table also changes hands within a group
+        calls = _recording(monkeypatch, "_match")
+        rng = random.Random(4711)
+        configs = []
+        for model, m in (
+            (PermModel.ALL_PERMUTATIONS, 3),
+            (PermModel.ALL_PERMUTATIONS, 4),
+            (PermModel.FULL_CYCLE, 4),
+        ):
+            for fixed in (False, True):
+                for _ in range(5):
+                    exponents = tuple(rng.randint(1, 4) for _ in range(3)) if fixed else None
+                    configs.append(
+                        SearchConfig.for_params(
+                            alphabet=m,
+                            params=rng.sample(range(1, 15), rng.randint(5, 14)),
+                            model=model,
+                            exponents=exponents,
+                            length_cap=rng.randint(20, 80),
+                            node_budget=rng.randint(200, 3_000),
+                        )
+                    )
+        assert len(configs) == 30
+        cold = []
+        for config in configs:
+            search_module._verdicts.table.clear()
+            cold.append(longest_avoiding_word(config).as_json())
+        cold_calls = len(calls)
+        for order in (configs, configs[::-1]):
+            search_module._verdicts.table.clear()
+            calls.clear()
+            warm = [longest_avoiding_word(config).as_json() for config in order]
+            assert warm == (cold if order is configs else cold[::-1])
+            assert len(calls) < cold_calls  # the table answered some factors
+        assert len({json.dumps(result, sort_keys=True) for result in cold}) >= 25
+        assert sum(result["exhausted"] for result in cold) >= 5
+
+    def test_threads_of_different_models(self):
+        # threads searching under different models and triples hand the table
+        # back and forth; each search must still give its own result
+        configs = [
+            SearchConfig.for_params(
+                alphabet=m,
+                params={1, 2, 4, 6, 7},
+                model=model,
+                exponents=exponents,
+                length_cap=60,
+                node_budget=4_000,
+            )
+            for model, m in ((PermModel.ALL_PERMUTATIONS, 3), (PermModel.FULL_CYCLE, 4))
+            for exponents in (None, (1, 2, 3))
+        ]
+        expected = []
+        for config in configs:
+            search_module._verdicts.table.clear()
+            expected.append(longest_avoiding_word(config).as_json())
+        results = {}
+
+        def run(t):
+            results[t] = [longest_avoiding_word(config).as_json() for config in configs * 3]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(t,)) for t in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == {t: expected * 3 for t in range(4)}
+
+
 class TestLongestAvoidingWord:
     def test_every_structure_forbidden_over_binary(self):
         config = SearchConfig.for_params(
@@ -939,6 +1034,74 @@ class TestLongestAvoidingWord:
             "exhausted": True,
             "nodes_visited": 43_810,
         }
+
+    @staticmethod
+    def cuts_inside_dead_runs(config, tables, limit):
+        """Budgets below ``limit`` whose last counted node and the next one are
+        siblings that both end a b = 1 instance, from a DFS over the oracle."""
+        m = config.alphabet
+        trace = []  # per node in DFS order: (its parent's node count, ends a b = 1 instance)
+
+        def grow(w, high, parent):
+            for c in range(min(m, high + 2)):
+                if len(trace) > limit:
+                    return
+                w.append(c)
+                dead = len(w) >= 4 and oracle_suffix_witness(w[-4:], tables, config.forbidden)
+                trace.append((parent, bool(dead)))
+                if not dead and oracle_suffix_witness(w, tables, config.forbidden) is None:
+                    grow(w, max(high, c), len(trace))
+                w.pop()
+
+        grow([], -1, 0)
+        return [
+            k
+            for k in range(1, min(len(trace), limit))
+            if trace[k - 1][1] and trace[k][1] and trace[k - 1][0] == trace[k][0]
+        ]
+
+    @pytest.mark.parametrize(
+        "alphabet, model, cap, top, runs",
+        [
+            (4, PermModel.FULL_CYCLE, 40, 300, 100),  # search36, 43,810 nodes in all
+            (3, PermModel.ALL_PERMUTATIONS, 30, 300, 70),  # reaches the cap at node 814
+            (4, PermModel.FIX_ONE_POINT_CYCLE, 30, 120, 30),  # reaches the cap at node 110
+        ],
+    )
+    def test_budget_cuts_in_sibling_runs(self, alphabet, model, cap, top, runs):
+        # the search counts a run of siblings that end a b = 1 instance in one
+        # inner loop; a budget that stops it inside such a run must count and
+        # report exactly what the definitional DFS does
+        config = SearchConfig.for_params(
+            alphabet=alphabet, params={1, 2, 4, 6, 7}, model=model, length_cap=cap
+        )
+        tables = [perm_powers(p.images) for p in model_permutations(model, alphabet)]
+        assert len(self.cuts_inside_dead_runs(config, tables, top)) >= runs
+        for budget in range(1, top):
+            got = longest_avoiding_word(dataclasses.replace(config, node_budget=budget))
+            length, best, exhausted, nodes = oracle_longest_avoiding_word(
+                alphabet, tables, config.forbidden, None, config.length_cap, budget, prune=True
+            )
+            assert got.as_json() == {
+                "max_length_found": length,
+                "witness_word": Word(bytes(best), alphabet).text(),
+                "exhausted": exhausted,
+                "nodes_visited": nodes,
+            }
+
+    def test_search36_progress_lines(self, monkeypatch, caplog):
+        # a progress line at every 1,000th node, none past the budget
+        monkeypatch.setattr(search_module, "_PROGRESS_EVERY", 1_000)
+        config = SearchConfig.for_params(
+            alphabet=4, params={1, 2, 4, 6, 7}, model=PermModel.FULL_CYCLE, length_cap=40
+        )
+        for budget, lines in ((config.node_budget, 43), (1_999, 1), (2_000, 2), (2_001, 2)):
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="permavoid.search"):
+                result = longest_avoiding_word(dataclasses.replace(config, node_budget=budget))
+            counts = [int(r.getMessage().split()[1]) for r in caplog.records]
+            assert counts == [1_000 * t for t in range(1, lines + 1)]
+            assert result.nodes_visited == min(43_810, budget + 1)
 
     @staticmethod
     def all_patterns_m7(exponents, cap):
