@@ -38,16 +38,25 @@ in step with its word, one ``rfind`` per node.
 
 Whether a split is an instance, and by which pattern, permutation and
 exponents, depends only on its factor ``w[end - 4b:end]`` and the config, not
-on where the factor sits.  So each scan (one ``longest_avoiding_word`` or
-``verify_word_avoids`` call) keeps one memo from factor to that outcome, filled
-only for splits that pass the filter.  The config is fixed within a call, so
-witnesses and node counts are those of the unmemoised check, and a memoised
-witness still reports its own start.  Memory is bounded independently of the
-word length and of the block bound: only blocks of at most 64 letters are
-memoised (keys of at most 256 bytes), and the memo is emptied when it reaches
-65,536 entries, about 25 MB at worst.
+on where the factor sits.  Its pattern depends on the factor alone, and
+whether a permutation's powers map u onto the other three blocks
+(``_match``) on the factor, the model, the alphabet and the exponents, not on
+the forbidden set.  So one verdict table for the whole process maps each
+decided factor to its pattern and, once a config forbidding that pattern has
+asked, ``_match``'s answer; each read applies the config's pattern test to
+the stored pattern, so searches that differ only in their forbidden sets,
+such as the subset loops of a criterion scan, share every verdict.  A
+witness still reports its own start, so results and node counts are those of
+deciding every split afresh.  Memory is bounded independently of the word
+length and of the block bound: only blocks of at most 64 letters are stored
+(keys of at most 256 bytes), and the table is emptied when it reaches 65,536
+entries, about 25 MB at worst.  It belongs to one (model, alphabet,
+exponents): a search or scan under another replaces it by an empty one, and
+one that runs meanwhile keeps the table it started with.  In fixed mode
+``_match`` walks each permutation with its i-th, j-th and k-th power tables,
+each kept once per (model, alphabet, exponent).
 
-The scan only decides: a hit is the block length and the memoised outcome,
+The scan only decides: a hit is the block length and the split's outcome,
 and the search prunes on it without building anything.  Only
 ``suffix_instance`` and ``verify_word_avoids`` build an ``InstanceWitness``
 (``_suffix_witness``), once, for the split they return.
@@ -56,13 +65,14 @@ Every split with b = 1 passes the filter (``prev[t] >= 1``), and its outcome
 depends only on the last four letters: the parent's last three and the new
 letter.  So ``longest_avoiding_word`` keeps one table per search from those
 four letters to whether they end an instance, and looks a child up before
-appending it; a factor not yet in the table is decided then, so each 4-letter
-factor is decided once per search and only when a node ending in it is
-visited.  A child that ends a b = 1 instance is counted as a node and dropped
-without being appended or scanned; a surviving child's scan starts at b = 2,
-and a word of fewer than 8 letters, whose only split has b = 1, is not
-scanned at all.  The table holds at most m^4 entries, and the model-size cap
-keeps m <= 9 (6,561 entries), so it needs no bound of its own.
+appending it; a factor not yet in the table is read from the verdict table
+or decided then, so each 4-letter factor is looked up once per search and
+only when a node ending in it is visited.  A child that ends a b = 1
+instance is counted as a node and dropped without being appended or scanned;
+a surviving child's scan starts at b = 2, and a word of fewer than 8 letters,
+whose only split has b = 1, is not scanned at all.  The table holds at most
+m^4 entries, and the model-size cap keeps m <= 9 (6,561 entries), so it needs
+no bound of its own.
 
 A node's candidates are tried in one inner loop, the sibling loop: each is
 counted as a node (the budget and the progress lines see every one), and a
@@ -72,18 +82,6 @@ the root is kept as one tuple per ancestor (its next candidate, its bound on
 candidates and the key of its last three letters) and the current word as
 ``bytes``: a child is the word plus one letter and a return drops the last
 one, so no prefix is stored and memory stays linear in the depth.
-
-Whether a permutation's powers map u onto the other three blocks
-(``_match``) depends only on the factor, the model, the alphabet and the
-exponents, not on the forbidden set.  So ``_split_outcome`` keeps one table
-for the whole process from factor to ``_match``'s answer, read after the
-config's pattern test (and so behind each scan's memo).  It has the memo's
-bounds, blocks of at most 64 letters and at most 65,536 entries (emptied when
-full), and it is emptied whenever a split of another (model, alphabet,
-exponents) is decided.  Searches of one model, such as the subset loops of a
-criterion scan, thus reuse each other's verdicts while that model is in use.
-In fixed mode the tables ``_match`` walks hold each permutation's i-th, j-th
-and k-th powers, built when the table changes hands.
 """
 
 from __future__ import annotations
@@ -116,8 +114,8 @@ logger = logging.getLogger(__name__)
 _PROGRESS_EVERY = 1_000_000  # search nodes between progress lines
 _POSITIONS_PROGRESS_EVERY = 100_000  # scanned end positions between progress lines
 
-#: Bounds of a scan's split memo (see the module docstring): the longest
-#: memoised block and the entry count at which the memo is emptied.
+#: Bounds of the verdict table (see the module docstring): the longest
+#: block it stores and the entry count at which it is emptied.
 _MEMO_MAX_BLOCK = 64
 _MEMO_MAX_ENTRIES = 1 << 16
 _UNSEEN = object()
@@ -300,12 +298,13 @@ def _match(
     """First (permutation, exponents) whose powers map u onto v1, v2 and v3, or None.
 
     ``tables`` is the verdict table's ``tables`` for the config: in abstract
-    mode the compiled model, in fixed mode each permutation with its i-th,
-    j-th and k-th power tables.  In abstract mode (exponents None) each
-    reported exponent is the least power in 0..order(f)-1 that maps u onto
-    the block, with 0 written as order(f); in fixed mode the exponents are
-    the given ones.  The mode is tested once per call: a test inside the loop
-    over permutations slows the fixed-mode searches measurably.
+    mode the compiled model, in fixed mode its permutations and their i-th,
+    j-th and k-th power tables, one column each (``_power_column``).  In
+    abstract mode (exponents None) each reported exponent is the least power
+    in 0..order(f)-1 that maps u onto the block, with 0 written as order(f);
+    in fixed mode the exponents are the given ones.  The mode is tested once
+    per call: a test inside the loop over permutations slows the fixed-mode
+    searches measurably.
     """
     if exponents is None:
         for perm, powers in tables:
@@ -314,38 +313,56 @@ def _match(
                 order = len(powers)
                 return perm, tuple(images.index(v) or order for v in (v1, v2, v3))
         return None
-    for perm, ti, tj, tk in tables:
+    for perm, ti, tj, tk in zip(*tables):
         if v1 == u.translate(ti) and v2 == u.translate(tj) and v3 == u.translate(tk):
             return perm, exponents
     return None
 
 
-class _Verdicts:
-    """The process-wide verdict table (module docstring): factor -> ``_match``'s result.
+@lru_cache(maxsize=64)
+def _model_column(model: PermModel, m: int) -> tuple[Permutation, ...]:
+    """The model's permutations, in ``_compiled`` order."""
+    return tuple(perm for perm, _ in _compiled(model, m))
 
-    It belongs to one compiled model and exponent triple, and ``tables`` is
-    what ``_match`` walks for them: the compiled model, or in fixed mode each
-    permutation with its i-th, j-th and k-th power tables.  Another pair gets
-    a new instance rather than a changed one, so a caller that read
-    ``_verdicts`` once works on one consistent table even if another thread
-    hands the table to another model meanwhile.
+
+@lru_cache(maxsize=64)
+def _power_column(model: PermModel, m: int, e: int) -> tuple[bytes, ...]:
+    """Each model permutation's e-th power table, in ``_compiled`` order."""
+    return tuple(powers[e % len(powers)] for _, powers in _compiled(model, m))
+
+
+class _Verdicts:
+    """The process-wide verdict table (module docstring): factor -> (pattern, outcome).
+
+    The outcome is ``_split_outcome``'s answer under a config forbidding the
+    pattern, or ``_UNSEEN`` while no such config has asked.  The table
+    belongs to one (model, alphabet, exponents), ``key``, and ``tables`` is
+    what ``_match`` walks for it.  Another key gets a new instance rather
+    than a changed one, so a scan that read ``_verdicts`` once works on one
+    consistent table even if another thread hands it to another key meanwhile.
     """
 
-    def __init__(self, compiled: _Compiled | None, exponents: tuple[int, int, int] | None) -> None:
-        self.compiled = compiled
-        self.exponents = exponents
+    def __init__(self, key: tuple | None = None, tables: tuple = ()) -> None:
+        self.key = key
+        self.tables = tables
         self.table: dict = {}
+
+
+_verdicts = _Verdicts()  # no config has asked yet
+
+
+def _verdicts_for(config: SearchConfig) -> _Verdicts:
+    """The verdict table of the config's model, alphabet and exponents, replacing another's."""
+    global _verdicts
+    shared = _verdicts
+    model, m, exponents = key = (config.model, config.alphabet, config.exponents)
+    if shared.key != key:
         if exponents is None:
-            self.tables = compiled
+            tables = _compiled(model, m)
         else:
-            i, j, k = exponents
-            self.tables = tuple(
-                (perm, powers[i % len(powers)], powers[j % len(powers)], powers[k % len(powers)])
-                for perm, powers in compiled
-            )
-
-
-_verdicts = _Verdicts(None, None)
+            tables = (_model_column(model, m), *(_power_column(model, m, e) for e in exponents))
+        shared = _verdicts = _Verdicts(key, tables)
+    return shared
 
 
 def _prev_index(w: bytes) -> list[int]:
@@ -377,32 +394,37 @@ def _same_shape(prev: list[int], last: int, b: int) -> bool:
     return True
 
 
-def _split_outcome(factor: bytes, b: int, config: SearchConfig, compiled: _Compiled):
+def _split_outcome(factor: bytes, b: int, config: SearchConfig, shared: _Verdicts):
     """(pattern, permutation, exponents) when ``factor``'s four b-letter blocks form an instance.
 
-    A factor whose pattern is forbidden is looked up in the shared verdict
-    table before it goes to the matcher.
+    Decides the split and stores the verdict in ``shared`` (blocks of at most
+    64 letters); ``_verdict`` reads it back.
     """
     u, v1, v2, v3 = factor[:b], factor[b : 2 * b], factor[2 * b : 3 * b], factor[3 * b :]
     pattern = blocks_pattern(u, v1, v2, v3)
+    outcome = _UNSEEN
+    if pattern in config.forbidden:
+        hit = _match(shared.tables, u, v1, v2, v3, config.exponents)
+        outcome = None if hit is None else (pattern, *hit)
+    if b <= _MEMO_MAX_BLOCK:
+        table = shared.table
+        if len(table) >= _MEMO_MAX_ENTRIES:
+            table.clear()
+        table[factor] = (pattern, outcome)
+    return None if outcome is _UNSEEN else outcome
+
+
+def _verdict(factor: bytes, b: int, config: SearchConfig, shared: _Verdicts):
+    """``_split_outcome``'s answer, read from the verdict table where it is stored."""
+    entry = shared.table.get(factor) if b <= _MEMO_MAX_BLOCK else None
+    if entry is None:
+        return _split_outcome(factor, b, config, shared)
+    pattern, outcome = entry
     if pattern not in config.forbidden:
         return None
-    global _verdicts
-    shared = _verdicts
-    exponents = config.exponents
-    if shared.compiled is not compiled or shared.exponents != exponents:
-        shared = _verdicts = _Verdicts(compiled, exponents)
-    table = shared.table
-    hit = table.get(factor, _UNSEEN)
-    if hit is _UNSEEN:
-        hit = _match(shared.tables, u, v1, v2, v3, exponents)
-        if b <= _MEMO_MAX_BLOCK:
-            if len(table) >= _MEMO_MAX_ENTRIES:
-                table.clear()
-            table[factor] = hit
-    if hit is None:
-        return None
-    return pattern, *hit
+    if outcome is _UNSEEN:
+        return _split_outcome(factor, b, config, shared)
+    return outcome
 
 
 def _suffix_split(
@@ -410,23 +432,22 @@ def _suffix_split(
     prev: list[int],
     end: int,
     config: SearchConfig,
-    compiled: _Compiled,
+    shared: _Verdicts,
     max_block: int,
-    memo: dict,
     first: int = 1,
 ):
     """The first block split of a suffix of w[:end] that is an instance, or None.
 
-    A hit is ``(b, outcome)``: the block length and the split's memoised
+    A hit is ``(b, outcome)``: the block length and the split's
     (pattern, permutation, exponents); ``_suffix_witness`` turns it into a
     report.
 
     ``prev`` is the previous-occurrence index of w (at least its first
     ``end`` entries); a split whose four blocks are not relabellings of one
     another (module docstring) is skipped unsliced: the last letters are
-    compared first, the other positions by ``_same_shape``.  ``memo`` maps
-    the factors of splits already decided under this config to their
-    outcomes.  Block lengths below ``first`` are not tried.
+    compared first, the other positions by ``_same_shape``.  The others are
+    decided through ``shared``, the config's verdict table.  Block lengths
+    below ``first`` are not tried.
     """
     top = end // 4
     if max_block < top:
@@ -441,15 +462,7 @@ def _suffix_split(
             continue
         if b > 2 and not _same_shape(prev, last, b):
             continue
-        s = end - 4 * b
-        factor = w[s:end]
-        outcome = memo.get(factor, _UNSEEN)
-        if outcome is _UNSEEN:
-            outcome = _split_outcome(factor, b, config, compiled)
-            if b <= _MEMO_MAX_BLOCK:
-                if len(memo) >= _MEMO_MAX_ENTRIES:
-                    memo.clear()
-                memo[factor] = outcome
+        outcome = _verdict(w[end - 4 * b : end], b, config, shared)
         if outcome is not None:
             return b, outcome
     return None
@@ -483,8 +496,7 @@ def suffix_instance(word: WordLike, config: SearchConfig) -> InstanceWitness | N
     A letter outside the config's alphabet raises ``ValueError``.
     """
     w = _letters(word, config.alphabet)
-    compiled = _compiled(config.model, config.alphabet)
-    found = _suffix_split(w, _prev_index(w), len(w), config, compiled, len(w), {})
+    found = _suffix_split(w, _prev_index(w), len(w), config, _verdicts_for(config), len(w))
     return None if found is None else _suffix_witness(w, len(w), found)
 
 
@@ -501,14 +513,13 @@ def verify_word_avoids(
     if max_block is not None and max_block < 1:
         raise ValueError(f"max_block must be positive, got {max_block}")
     w = _letters(word, config.alphabet)
-    compiled = _compiled(config.model, config.alphabet)
+    shared = _verdicts_for(config)
     prev = _prev_index(w)
     limit = max_block if max_block is not None else len(w)
-    memo: dict = {}
     for end in range(4, len(w) + 1):
         if end % _POSITIONS_PROGRESS_EVERY == 0:
-            logger.debug("verify: end position %d of %d, memo %d", end, len(w), len(memo))
-        found = _suffix_split(w, prev, end, config, compiled, limit, memo)
+            logger.debug("verify: end position %d of %d, memo %d", end, len(w), len(shared.table))
+        found = _suffix_split(w, prev, end, config, shared, limit)
         if found is not None:
             return _suffix_witness(w, end, found)
     return None
@@ -525,11 +536,10 @@ def longest_avoiding_word(config: SearchConfig) -> SearchResult:
     runs report exhausted=False.
     """
     m = config.alphabet
-    compiled = _compiled(config.model, m)
+    shared = _verdicts_for(config)
     cap = config.length_cap
     budget = config.node_budget
     letters = [bytes((c,)) for c in range(m)]
-    memo: dict = {}
     # ends[tail | c]: whether the letter c after the word's last three letters
     # ends a b = 1 instance (module docstring)
     ends: dict = {}
@@ -558,7 +568,8 @@ def longest_avoiding_word(config: SearchConfig) -> SearchResult:
                     budget_hit = True
                     break
                 logger.debug(
-                    "search: %d nodes, depth %d, best %d, memo %d", nodes, n, best_n, len(memo)
+                    "search: %d nodes, depth %d, best %d, memo %d",
+                    nodes, n, best_n, len(shared.table),
                 )
                 stop = min(budget + 1, nodes + _PROGRESS_EVERY)
             if n < 3:
@@ -566,7 +577,7 @@ def longest_avoiding_word(config: SearchConfig) -> SearchResult:
             dead = ends.get(tail | c)
             if dead is None:
                 factor = w[-3:] + letters[c]
-                dead = ends[tail | c] = _split_outcome(factor, 1, config, compiled) is not None
+                dead = ends[tail | c] = _verdict(factor, 1, config, shared) is not None
             if not dead:
                 break
             c += 1
@@ -583,7 +594,7 @@ def longest_avoiding_word(config: SearchConfig) -> SearchResult:
         prev.append(n - w.rfind(c))  # rfind gives -1 when c is new
         child = w + letters[c]
         end = n + 1
-        if end >= 8 and _suffix_split(child, prev, end, config, compiled, end, memo, 2) is not None:
+        if end >= 8 and _suffix_split(child, prev, end, config, shared, end, 2) is not None:
             prev.pop()
             c += 1
             continue

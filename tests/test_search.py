@@ -635,10 +635,9 @@ class TestScanMemo:
         assert reached >= 3 * classified
 
     def test_search_matches_oracle_when_memo_clears(self, monkeypatch):
-        # a two-entry memo is emptied over and over; the whole result, node
-        # count included, must still equal the definitional DFS's (the configs
-        # are test_matches_oracle_search's draws; the search decides b = 1
-        # without the memo, so only splits with b >= 2 repeat)
+        # a two-entry verdict table is emptied over and over; the whole
+        # result, node count included, must still equal the definitional
+        # DFS's (the configs are test_matches_oracle_search's draws)
         monkeypatch.setattr(search_module, "_MEMO_MAX_ENTRIES", 2)
         outcomes = _recording(monkeypatch, "_split_outcome")
         rng = random.Random(6174)
@@ -677,24 +676,24 @@ class TestScanMemo:
         assert repeated >= 500
 
     def test_memo_bounded(self, monkeypatch):
-        # blocks longer than 64 letters are decided without the memo, and the
-        # memo never holds more than its entry cap; the periodic tail gives
-        # long splits whose blocks are relabellings, which a random word lacks
+        # blocks longer than 64 letters are decided without the verdict
+        # table, and the table never holds more than its entry cap; the
+        # periodic tail gives long splits whose blocks are relabellings,
+        # which a random word lacks
         monkeypatch.setattr(search_module, "_MEMO_MAX_ENTRIES", 50)
         outcomes = _recording(monkeypatch, "_split_outcome")
         rng = random.Random(1729)
         w = bytes(rng.randrange(3) for _ in range(700))
         w += bytes(rng.randrange(3) for _ in range(13)) * 40
         config = SearchConfig(alphabet=3, forbidden=frozenset({"0123", "0012"}))
-        compiled = search_module._compiled(config.model, config.alphabet)
+        shared = search_module._verdicts_for(config)
         prev = search_module._prev_index(w)
-        memo = {}
         sizes = set()
         for end in range(4, len(w) + 1):
-            search_module._suffix_split(w, prev, end, config, compiled, end, memo)
-            assert len(memo) <= 50
-            assert all(len(factor) <= 4 * 64 for factor in memo)
-            sizes.add(len(memo))
+            search_module._suffix_split(w, prev, end, config, shared, end)
+            assert len(shared.table) <= 50
+            assert all(len(factor) <= 4 * 64 for factor in shared.table)
+            sizes.add(len(shared.table))
         assert 50 in sizes and 1 in sizes  # filled up to the cap, then emptied
         assert sum(b > 64 for _, b, _, _ in outcomes) >= 100
 
